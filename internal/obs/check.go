@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -58,19 +60,27 @@ var terminalReasons = map[string]bool{"finish": true, "reject": true, "drop": tr
 //
 // Tests call this on whole simulation runs, turning the timeline itself
 // into an assertion rather than spot-checking a few aggregates.
+//
+// Check reads the spans and the attached log in place, holding the
+// tracer's lock (and then the log's) for its whole run, so recording
+// blocks while it checks. It copies no span: GPU tracks and request
+// phases are lists of span indices.
 func (t *Tracer) Check() error {
 	if t == nil {
 		return nil
 	}
-	spans := t.Spans()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	n := t.nspans
 
-	byID := make(map[uint64]Span, len(spans))
-	for _, s := range spans {
-		byID[s.ID] = s
-	}
-	gpuTop := map[string][]Span{}
-	reqKids := map[uint64][]Span{}
-	for _, s := range spans {
+	// Span IDs are dense (span i has ID i+1), so a parent ID indexes the
+	// pages directly. Request phases are grouped by parent with one
+	// counting pass: first[p+1] counts parent p's phases, and the prefix
+	// sums below turn the counts into offsets into phases.
+	gpuTop := map[string][]int32{}
+	first := make([]int32, n+1)
+	for i := 0; i < n; i++ {
+		s := t.at(i)
 		if !s.Closed {
 			return errf("span %d (%s %q on %s) never ended", s.ID, s.Cat, s.Name, s.Track)
 		}
@@ -79,8 +89,7 @@ func (t *Tracer) Check() error {
 				s.ID, s.Name, s.Track, s.EndMS, s.StartMS)
 		}
 		if s.Parent != 0 {
-			p, ok := byID[s.Parent]
-			if !ok {
+			if s.Parent > uint64(n) {
 				return errf("span %d (%q on %s) references unknown parent %d",
 					s.ID, s.Name, s.Track, s.Parent)
 			}
@@ -88,21 +97,35 @@ func (t *Tracer) Check() error {
 				return errf("span %d (%q on %s) opened before its parent %d",
 					s.ID, s.Name, s.Track, s.Parent)
 			}
+			p := t.at(int(s.Parent - 1))
 			if s.StartMS < p.StartMS || s.EndMS > p.EndMS {
 				return errf("span %d (%q on %s) [%.3f,%.3f] escapes parent %d (%q) [%.3f,%.3f]",
 					s.ID, s.Name, s.Track, s.StartMS, s.EndMS, p.ID, p.Name, p.StartMS, p.EndMS)
 			}
 		}
 		if s.Cat == CatGPU && s.Parent == 0 {
-			gpuTop[s.Track] = append(gpuTop[s.Track], s)
+			gpuTop[s.Track] = append(gpuTop[s.Track], int32(i))
 		}
 		if s.Cat == CatRequest && s.Parent != 0 {
-			reqKids[s.Parent] = append(reqKids[s.Parent], s)
+			first[s.Parent+1]++
 		}
 		if s.Cat == CatRequest && s.Parent == 0 && !terminalReasons[s.Reason] {
 			return errf("request span %d (%q on %s) ends with non-terminal reason %q",
 				s.ID, s.Name, s.Track, s.Reason)
 		}
+	}
+
+	// byStart orders span indices by (start, start seq); seqs are unique,
+	// so the order is total.
+	byStart := func(a, b int32) int {
+		sa, sb := t.at(int(a)), t.at(int(b))
+		if sa.StartMS != sb.StartMS {
+			if sa.StartMS < sb.StartMS {
+				return -1
+			}
+			return 1
+		}
+		return cmp.Compare(sa.StartSeq, sb.StartSeq)
 	}
 
 	gpuTracks := make([]string, 0, len(gpuTop))
@@ -112,44 +135,47 @@ func (t *Tracer) Check() error {
 	sort.Strings(gpuTracks)
 	for _, track := range gpuTracks {
 		ss := gpuTop[track]
-		sort.Slice(ss, func(i, j int) bool {
-			if ss[i].StartMS != ss[j].StartMS {
-				return ss[i].StartMS < ss[j].StartMS
-			}
-			return ss[i].StartSeq < ss[j].StartSeq
-		})
+		slices.SortFunc(ss, byStart)
 		for i := 1; i < len(ss); i++ {
-			if ss[i].StartMS < ss[i-1].EndMS {
+			cur, prev := t.at(int(ss[i])), t.at(int(ss[i-1]))
+			if cur.StartMS < prev.EndMS {
 				return errf("track %s: span %d (%q) starting %.3f overlaps span %d (%q) ending %.3f",
-					track, ss[i].ID, ss[i].Name, ss[i].StartMS,
-					ss[i-1].ID, ss[i-1].Name, ss[i-1].EndMS)
+					track, cur.ID, cur.Name, cur.StartMS,
+					prev.ID, prev.Name, prev.EndMS)
 			}
 		}
 	}
 
-	roots := make([]uint64, 0, len(reqKids))
-	for id := range reqKids {
-		roots = append(roots, id)
+	// After the prefix sums first[p] is where parent p's phases start;
+	// placing each phase advances first[p], leaving phases of p in
+	// phases[first[p-1]:first[p]], in recording order.
+	for p := 1; p <= n; p++ {
+		first[p] += first[p-1]
 	}
-	sort.Slice(roots, func(i, j int) bool { return roots[i] < roots[j] })
-	for _, id := range roots {
-		ss := reqKids[id]
-		sort.Slice(ss, func(i, j int) bool {
-			if ss[i].StartMS != ss[j].StartMS {
-				return ss[i].StartMS < ss[j].StartMS
-			}
-			return ss[i].StartSeq < ss[j].StartSeq
-		})
+	phases := make([]int32, first[n])
+	for i := 0; i < n; i++ {
+		if s := t.at(i); s.Cat == CatRequest && s.Parent != 0 {
+			phases[first[s.Parent]] = int32(i)
+			first[s.Parent]++
+		}
+	}
+	for id := 1; id < n; id++ {
+		ss := phases[first[id-1]:first[id]]
+		if len(ss) < 2 {
+			continue
+		}
+		slices.SortFunc(ss, byStart)
 		for i := 1; i < len(ss); i++ {
-			if ss[i].StartMS < ss[i-1].EndMS {
+			cur, prev := t.at(int(ss[i])), t.at(int(ss[i-1]))
+			if cur.StartMS < prev.EndMS {
 				return errf("request root %d: phase %d (%q) starting %.3f overlaps phase %d (%q) ending %.3f — sequence resident in two places",
-					id, ss[i].ID, ss[i].Name, ss[i].StartMS,
-					ss[i-1].ID, ss[i-1].Name, ss[i-1].EndMS)
+					id, cur.ID, cur.Name, cur.StartMS,
+					prev.ID, prev.Name, prev.EndMS)
 			}
 		}
 	}
 
-	reg := t.Registry()
+	reg := t.reg
 	for _, name := range reg.Names() {
 		if !strings.HasSuffix(name, KVUsedSuffix) {
 			continue
@@ -165,23 +191,27 @@ func (t *Tracer) Check() error {
 		}
 	}
 
-	if dl := t.Decisions(); dl != nil {
-		if err := checkDecisions(spans, dl); err != nil {
-			return err
-		}
+	if t.dlog != nil {
+		return t.checkDecisions(t.dlog)
 	}
 	return nil
 }
 
 // checkDecisions verifies an attached DecisionLog against the span
-// timeline (the decision invariants listed on Check).
-func checkDecisions(spans []Span, dl *DecisionLog) error {
-	decs := dl.Decisions()
+// timeline (the decision invariants listed on Check). The caller holds
+// t.mu; the log is read in place under its own lock.
+func (t *Tracer) checkDecisions(dl *DecisionLog) error {
+	dl.mu.Lock()
+	defer dl.mu.Unlock()
+	decs := dl.decs
+	n := t.nspans
 
-	// Spans annotated with a decision seq, one per decision.
-	bySeq := make(map[uint64]Span, len(decs))
-	for _, s := range spans {
-		a, ok := s.Attr(DecisionSeqKey)
+	// Spans annotated with a decision seq, one per decision: bySeq[seq]
+	// is 1 + the annotated span's index (0 = none).
+	bySeq := make([]int32, len(decs)+1)
+	for i := 0; i < n; i++ {
+		s := t.at(i)
+		a, ok := findAttr(s.Attrs, DecisionSeqKey)
 		if !ok {
 			continue
 		}
@@ -190,16 +220,17 @@ func checkDecisions(spans []Span, dl *DecisionLog) error {
 			return errf("span %d (%q on %s) references unknown decision %d (log has %d)",
 				s.ID, s.Name, s.Track, a.Int, len(decs))
 		}
-		if dup, found := bySeq[seq]; found {
+		if dup := bySeq[seq]; dup != 0 {
 			return errf("decision %d annotates spans %d and %d — a decision delivers once",
-				seq, dup.ID, s.ID)
+				seq, t.at(int(dup-1)).ID, s.ID)
 		}
-		bySeq[seq] = s
+		bySeq[seq] = int32(i + 1)
 	}
 
-	arrivals := map[string]int{}     // request → arrival decisions
-	rootArrivals := map[uint64]int{} // request root span ID → arrival decisions
-	for _, d := range decs {
+	arrivals := map[string]int{}       // request → arrival decisions
+	rootArrivals := make([]int32, n+1) // request root span ID → arrival decisions
+	for i := range decs {
+		d := &decs[i]
 		if len(d.Candidates) == 0 {
 			return errf("decision %d (req %s) recorded no candidates", d.Seq, d.ReqID)
 		}
@@ -213,14 +244,15 @@ func checkDecisions(spans []Span, dl *DecisionLog) error {
 					d.Seq, d.ReqID, c.Instance)
 			}
 		}
-		s, ok := bySeq[d.Seq]
-		if !ok {
+		si := bySeq[d.Seq]
+		if si == 0 {
 			return errf("decision %d (req %s) has no annotated span on the timeline", d.Seq, d.ReqID)
 		}
-		if !strings.HasSuffix(s.Track, "/"+d.ReqID) {
+		s := t.at(int(si - 1))
+		if !hasReqSuffix(s.Track, d.ReqID) {
 			return errf("decision %d routed req %s but annotates track %s", d.Seq, d.ReqID, s.Track)
 		}
-		if inst, ok := s.Attr(DecisionInstKey); !ok || int(inst.Int) != d.Chosen {
+		if inst, ok := findAttr(s.Attrs, DecisionInstKey); !ok || int(inst.Int) != d.Chosen {
 			return errf("decision %d (req %s) chose instance %d but span %d records a different delivery",
 				d.Seq, d.ReqID, d.Chosen, s.ID)
 		}
@@ -236,11 +268,19 @@ func checkDecisions(spans []Span, dl *DecisionLog) error {
 
 	// Every finished request root was routed exactly once: its phase
 	// children carry exactly one arrival decision.
-	for _, s := range spans {
+	for i := 0; i < n; i++ {
+		s := t.at(i)
 		if s.Cat == CatRequest && s.Parent == 0 && s.Reason == "finish" && rootArrivals[s.ID] != 1 {
 			return errf("finished request root %d (%s) has %d arrival decisions, want exactly 1",
 				s.ID, s.Track, rootArrivals[s.ID])
 		}
 	}
 	return nil
+}
+
+// hasReqSuffix reports whether track ends in "/"+reqID, without building
+// that string.
+func hasReqSuffix(track, reqID string) bool {
+	k := len(track) - len(reqID)
+	return k > 0 && track[k-1] == '/' && track[k:] == reqID
 }

@@ -29,48 +29,71 @@ import (
 // identical runs — or a serial and a parallel run of the same
 // deterministic simulation — emit byte-identical files.
 //
-// The writer streams: events are sorted as small references into the
-// recorded data and each body is rendered into a reused scratch buffer
-// feeding a bufio.Writer, so export cost no longer scales allocations
-// with event count (TestWriteChromeMatchesReference pins the bytes
-// against the historical per-event-string implementation).
+// WriteChrome copies the span pages under the tracer's lock, then sorts
+// and renders without it, so w never runs under the lock. Events are
+// sorted as small references into that copy and each body is rendered
+// into a reused scratch buffer feeding a bufio.Writer, so export
+// allocations do not scale with event count
+// (TestWriteChromeMatchesReference pins the bytes against the historical
+// per-event-string implementation).
 func (t *Tracer) WriteChrome(w io.Writer) error {
 	if t == nil {
 		_, err := io.WriteString(w, "{\"traceEvents\":[]}\n")
 		return err
 	}
-	spans := t.Spans()
-	instants := t.Instants()
+	// Spans are copied, not referenced: a recorded span may still be
+	// closed or annotated while the copy renders.
+	t.mu.Lock()
+	pages := make([][]Span, len(t.pages))
+	for i, page := range t.pages {
+		pages[i] = append([]Span(nil), page...)
+	}
+	nspans := t.nspans
+	instants := append([]Instant(nil), t.instants...)
+	t.mu.Unlock()
+	span := func(i int32) *Span { return &pages[i>>spanPageShift][i&(spanPage-1)] }
 
-	// Assign tids by sorted track name so the layout is stable.
-	trackSet := map[string]bool{}
-	for i := range spans {
-		trackSet[spans[i].Track] = true
+	// Assign tids by sorted track name so the layout is stable. Each
+	// span's and instant's track is looked up once, as an index in
+	// first-seen order that becomes its tid once the names are sorted.
+	trackIdx := map[string]int32{}
+	var tracks []string
+	intern := func(track string) int32 {
+		i, ok := trackIdx[track]
+		if !ok {
+			i = int32(len(tracks))
+			trackIdx[track] = i
+			tracks = append(tracks, track)
+		}
+		return i
 	}
+	spanTid := make([]int32, nspans)
+	for i := range spanTid {
+		spanTid[i] = intern(span(int32(i)).Track)
+	}
+	instTid := make([]int32, len(instants))
 	for i := range instants {
-		trackSet[instants[i].Track] = true
-	}
-	tracks := make([]string, 0, len(trackSet))
-	for name := range trackSet {
-		tracks = append(tracks, name)
+		instTid[i] = intern(instants[i].Track)
 	}
 	sort.Strings(tracks)
-	tid := map[string]int{}
+	tidOf := make([]int32, len(tracks))
 	for i, name := range tracks {
-		tid[name] = i + 1
+		tidOf[trackIdx[name]] = int32(i + 1)
+	}
+	for i := range spanTid {
+		spanTid[i] = tidOf[spanTid[i]]
+	}
+	for i := range instTid {
+		instTid[i] = tidOf[instTid[i]]
 	}
 
 	// Flatten counter points; they carry no tracer seq, so they get
 	// synthetic seqs past the tracer's maximum, in sorted-metric-name
 	// order, keeping the total order deterministic.
 	var maxSeq uint64
-	for i := range spans {
-		if spans[i].StartSeq > maxSeq {
-			maxSeq = spans[i].StartSeq
-		}
-		if spans[i].EndSeq > maxSeq {
-			maxSeq = spans[i].EndSeq
-		}
+	for i := int32(0); int(i) < nspans; i++ {
+		s := span(i)
+		maxSeq = max(maxSeq, s.StartSeq, s.EndSeq)
 	}
 	for i := range instants {
 		if instants[i].Seq > maxSeq {
@@ -104,10 +127,10 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 		kind uint8
 		idx  int32
 	}
-	events := make([]evRef, 0, 2*len(spans)+len(instants)+len(cpoints))
-	for i := range spans {
-		s := &spans[i]
-		events = append(events, evRef{s.StartMS, s.StartSeq, kindBegin, int32(i)})
+	events := make([]evRef, 0, 2*nspans+len(instants)+len(cpoints))
+	for i := int32(0); int(i) < nspans; i++ {
+		s := span(i)
+		events = append(events, evRef{s.StartMS, s.StartSeq, kindBegin, i})
 		if s.Cat == CatRequest {
 			endMS, endSeq := s.EndMS, s.EndSeq
 			if !s.Closed {
@@ -116,7 +139,7 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 				// dropped; the invariant checker reports it as an error.
 				endMS, endSeq = s.StartMS, s.StartSeq
 			}
-			events = append(events, evRef{endMS, endSeq, kindEnd, int32(i)})
+			events = append(events, evRef{endMS, endSeq, kindEnd, i})
 		}
 	}
 	for i := range instants {
@@ -145,11 +168,11 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 
 	bw := bufio.NewWriterSize(w, 64<<10)
 	buf := make([]byte, 0, 512) // reused scratch for one event body
-	common := func(dst []byte, track string, atMS float64) []byte {
+	common := func(dst []byte, tid int32, atMS float64) []byte {
 		dst = append(dst, `"ts":`...)
 		dst = appendNum(dst, atMS*1000)
 		dst = append(dst, `,"pid":1,"tid":`...)
-		return strconv.AppendInt(dst, int64(tid[track]), 10)
+		return strconv.AppendInt(dst, int64(tid), 10)
 	}
 	// args renders an event's attribute set (plus the optional terminal
 	// reason, which participates as key "reason") as a key-sorted JSON
@@ -196,10 +219,10 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 	_, _ = bw.WriteString(`{"traceEvents":[`)
 	_ = bw.WriteByte('\n')
 	_, _ = bw.WriteString(`{"name":"process_name","ph":"M","pid":1,"args":{"name":"dataai"}}`)
-	for _, name := range tracks {
+	for i, name := range tracks {
 		buf = append(buf[:0], ",\n"...)
 		buf = append(buf, `{"name":"thread_name","ph":"M","pid":1,"tid":`...)
-		buf = strconv.AppendInt(buf, int64(tid[name]), 10)
+		buf = strconv.AppendInt(buf, int64(i+1), 10)
 		buf = append(buf, `,"args":{"name":`...)
 		buf = appendStr(buf, name)
 		buf = append(buf, `}}`...)
@@ -209,7 +232,7 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 		buf = append(buf[:0], ",\n"...)
 		switch e.kind {
 		case kindBegin, kindEnd:
-			s := &spans[e.idx]
+			s, tid := span(e.idx), spanTid[e.idx]
 			endMS := s.EndMS
 			if !s.Closed {
 				endMS = s.StartMS
@@ -221,12 +244,12 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 				buf = append(buf, ',')
 				if e.kind == kindBegin {
 					buf = append(buf, `"ph":"b",`...)
-					buf = common(buf, s.Track, s.StartMS)
+					buf = common(buf, tid, s.StartMS)
 					buf = args(buf, s.Attrs, "")
 					buf = append(buf, '}')
 				} else {
 					buf = append(buf, `"ph":"e",`...)
-					buf = common(buf, s.Track, endMS)
+					buf = common(buf, tid, endMS)
 					buf = args(buf, nil, s.Reason)
 					buf = append(buf, '}')
 				}
@@ -234,7 +257,7 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 			}
 			buf = head(buf, s)
 			buf = append(buf, `,"ph":"X",`...)
-			buf = common(buf, s.Track, s.StartMS)
+			buf = common(buf, tid, s.StartMS)
 			buf = append(buf, `,"dur":`...)
 			buf = appendNum(buf, (endMS-s.StartMS)*1000)
 			buf = args(buf, s.Attrs, s.Reason)
@@ -244,7 +267,7 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 			buf = append(buf, `{"name":`...)
 			buf = appendStr(buf, in.Name)
 			buf = append(buf, `,"ph":"i","s":"t",`...)
-			buf = common(buf, in.Track, in.AtMS)
+			buf = common(buf, instTid[e.idx], in.AtMS)
 			buf = args(buf, in.Attrs, "")
 			buf = append(buf, '}')
 		case kindCounter:

@@ -10,10 +10,12 @@ import (
 	"testing"
 )
 
-// writeChromeReference is the historical WriteChrome implementation,
-// verbatim (one string per event body, stable sort, strings.Builder).
-// It is kept here as the oracle for the streaming rewrite: any trace the
-// streaming writer emits must match this byte-for-byte.
+// writeChromeReference is the historical WriteChrome implementation
+// (one string per event body, stable sort, strings.Builder), verbatim
+// but for attribute rendering, which it predates: refArgs renders span
+// and instant attributes in the same one-string style. It is kept here
+// as the oracle for the streaming writer: any trace the streaming
+// writer emits must match this byte-for-byte.
 func writeChromeReference(t *Tracer, w io.Writer) error {
 	if t == nil {
 		_, err := io.WriteString(w, "{\"traceEvents\":[]}\n")
@@ -61,27 +63,23 @@ func writeChromeReference(t *Tracer, w io.Writer) error {
 		if !s.Closed {
 			endMS, endSeq = s.StartMS, s.StartSeq
 		}
-		reason := ""
-		if s.Reason != "" {
-			reason = `,"args":{"reason":` + str(s.Reason) + `}`
-		}
 		if s.Cat == CatRequest {
 			head := `{"name":` + str(s.Name) + `,"cat":` + str(s.Cat) + `,"id":` + str(s.Track) + `,`
 			events = append(events,
-				ev{s.StartMS, s.StartSeq, head + `"ph":"b",` + common(s.Track, s.StartMS) + `}`},
-				ev{endMS, endSeq, head + `"ph":"e",` + common(s.Track, endMS) + reason + `}`})
+				ev{s.StartMS, s.StartSeq, head + `"ph":"b",` + common(s.Track, s.StartMS) + refArgs(s.Attrs, "") + `}`},
+				ev{endMS, endSeq, head + `"ph":"e",` + common(s.Track, endMS) + refArgs(nil, s.Reason) + `}`})
 			continue
 		}
 		events = append(events, ev{s.StartMS, s.StartSeq,
 			`{"name":` + str(s.Name) + `,"cat":` + str(s.Cat) + `,"ph":"X",` +
-				common(s.Track, s.StartMS) + `,"dur":` + num((endMS-s.StartMS)*1000) + reason + `}`})
+				common(s.Track, s.StartMS) + `,"dur":` + num((endMS-s.StartMS)*1000) + refArgs(s.Attrs, s.Reason) + `}`})
 	}
 	for _, in := range instants {
 		if in.Seq > maxSeq {
 			maxSeq = in.Seq
 		}
 		events = append(events, ev{in.AtMS, in.Seq,
-			`{"name":` + str(in.Name) + `,"ph":"i","s":"t",` + common(in.Track, in.AtMS) + `}`})
+			`{"name":` + str(in.Name) + `,"ph":"i","s":"t",` + common(in.Track, in.AtMS) + refArgs(in.Attrs, "") + `}`})
 	}
 
 	reg := t.Registry()
@@ -120,6 +118,32 @@ func writeChromeReference(t *Tracer, w io.Writer) error {
 	return err
 }
 
+// refArgs renders an event's attributes, plus the terminal reason as key
+// "reason" when set, as a key-sorted "args" object; "" when there are
+// none.
+func refArgs(attrs []Attr, reason string) string {
+	all := append([]Attr(nil), attrs...)
+	if reason != "" {
+		all = append(all, S("reason", reason))
+	}
+	if len(all) == 0 {
+		return ""
+	}
+	sort.SliceStable(all, func(i, j int) bool { return all[i].Key < all[j].Key })
+	parts := make([]string, len(all))
+	for i, a := range all {
+		v := num(a.Num)
+		switch a.Kind {
+		case AttrInt:
+			v = strconv.FormatInt(a.Int, 10)
+		case AttrStr:
+			v = str(a.Str)
+		}
+		parts[i] = str(a.Key) + ":" + v
+	}
+	return `,"args":{` + strings.Join(parts, ",") + `}`
+}
+
 // adversarialTracer builds a trace that stresses every formatting path:
 // unclosed request spans (whose "b"/"e" share a (ts, seq) key and must
 // keep b first), strings that need JSON escaping (quotes, backslashes,
@@ -143,10 +167,10 @@ func adversarialTracer() *Tracer {
 	weird := tr.Begin(1, `trk "q"<&>`, CatGPU, "a\\b\tc\u2028d£", 0)
 	tr.EndReason(1, weird, "cause: <oom> & \"retry\"")
 
-	g1 := tr.Begin(0.1, "gpu0", CatGPU, "prefill", 0)
-	tr.End(0.30000000000000004, g1)
+	g1 := tr.Begin(0.1, "gpu0", CatGPU, "prefill", 0, F("load", 1.0/3.0), S("note", "a<b"))
+	tr.EndReason(0.30000000000000004, g1, "crash")
 	tr.Instant(0.1, "gpu0", "crash")
-	tr.Instant(0.1, "gpu0", "preempt")
+	tr.Instant(0.1, "gpu0", "preempt", I("victim", -3), S("why", `x"y`))
 
 	// Awkward floats: ts is ms*1000, so tiny values exercise long decimals.
 	f := tr.Begin(1.0/3.0, "llm", CatLLM, "decode", 0)
@@ -157,6 +181,7 @@ func adversarialTracer() *Tracer {
 	kv.Set(0, 4)
 	kv.Set(2.5, 17.75)
 	kv.Set(2.5, 3)
+	kv.Set(math.Nextafter(2.5, 3), 5) // adjacent float: a distinct timestamp
 	reg.Counter("tokens <out>").Add(1.5, 128)
 	reg.Counter("tokens <out>").Add(7.25, 0.125)
 	return tr
@@ -167,6 +192,10 @@ func TestWriteChromeMatchesReference(t *testing.T) {
 		"nil":         nil,
 		"empty":       NewTracer(),
 		"adversarial": adversarialTracer(),
+		// Eighteen span pages, decision attrs, and thousands of gauge points
+		// on twelve metrics.
+		"multi-page sim":        simTrace(3000, nil),
+		"unclosed request span": simTrace(3000, map[int]string{1234: mutOpenSpan}),
 	}
 	for name, tr := range cases {
 		var want, got bytes.Buffer

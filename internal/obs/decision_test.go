@@ -134,7 +134,7 @@ func decisionTrace() (*Tracer, *DecisionLog) {
 
 func TestCheckDecisionInvariants(t *testing.T) {
 	tr, _ := decisionTrace()
-	if err := tr.Check(); err != nil {
+	if err := checkMatchesReference(t, tr); err != nil {
 		t.Fatalf("well-formed decision trace failed: %v", err)
 	}
 
@@ -148,7 +148,7 @@ func TestCheckDecisionInvariants(t *testing.T) {
 		bad.Record(d)
 	}
 	tr2.AttachDecisions(bad)
-	if err := tr2.Check(); err == nil || !strings.Contains(err.Error(), "different delivery") {
+	if err := checkMatchesReference(t, tr2); err == nil || !strings.Contains(err.Error(), "different delivery") {
 		t.Errorf("chosen/span mismatch not caught: %v", err)
 	}
 
@@ -161,7 +161,7 @@ func TestCheckDecisionInvariants(t *testing.T) {
 		bad.Record(d)
 	}
 	tr3.AttachDecisions(bad)
-	if err := tr3.Check(); err == nil || !strings.Contains(err.Error(), "non-finite") {
+	if err := checkMatchesReference(t, tr3); err == nil || !strings.Contains(err.Error(), "non-finite") {
 		t.Errorf("NaN score not caught: %v", err)
 	}
 
@@ -172,7 +172,7 @@ func TestCheckDecisionInvariants(t *testing.T) {
 	tr4.End(1, q)
 	tr4.EndReason(1, root, "finish")
 	tr4.AttachDecisions(NewDecisionLog())
-	if err := tr4.Check(); err == nil || !strings.Contains(err.Error(), "arrival decisions") {
+	if err := checkMatchesReference(t, tr4); err == nil || !strings.Contains(err.Error(), "arrival decisions") {
 		t.Errorf("undecided finished request not caught: %v", err)
 	}
 
@@ -182,13 +182,29 @@ func TestCheckDecisionInvariants(t *testing.T) {
 	dl5.Record(Decision{ReqID: "r1", Kind: DecisionArrival, Chosen: 0,
 		Candidates: []Candidate{{Instance: 0, Score: 0}}})
 	tr5.AttachDecisions(dl5)
-	if err := tr5.Check(); err == nil || !strings.Contains(err.Error(), "no annotated span") {
+	if err := checkMatchesReference(t, tr5); err == nil || !strings.Contains(err.Error(), "no annotated span") {
 		t.Errorf("spanless decision not caught: %v", err)
+	}
+
+	// A decision annotating a track that ends in its request ID, but not
+	// as the track's last path element.
+	tr6 := NewTracer()
+	dl6 := NewDecisionLog()
+	root6 := tr6.Begin(0, "req/xr1", CatRequest, "request", 0)
+	q6 := tr6.Begin(0, "req/xr1", CatRequest, "queue", root6)
+	dl6.Record(Decision{ReqID: "r1", Kind: DecisionArrival, Chosen: 0,
+		Candidates: []Candidate{{Instance: 0, Score: 0}}})
+	tr6.SpanAttrs(q6, I(DecisionSeqKey, 1), I(DecisionInstKey, 0))
+	tr6.End(1, q6)
+	tr6.EndReason(1, root6, "finish")
+	tr6.AttachDecisions(dl6)
+	if err := checkMatchesReference(t, tr6); err == nil || !strings.Contains(err.Error(), "annotates track") {
+		t.Errorf("decision on another request's track not caught: %v", err)
 	}
 
 	// Detached log: the same timeline passes without decision checks.
 	tr4.AttachDecisions(nil)
-	if err := tr4.Check(); err != nil {
+	if err := checkMatchesReference(t, tr4); err != nil {
 		t.Errorf("detached log still checked decisions: %v", err)
 	}
 }

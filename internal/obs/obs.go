@@ -89,13 +89,24 @@ type Instant struct {
 	Attrs []Attr
 }
 
+// Spans live in fixed-size pages of spanPage entries, so recording never
+// re-copies the spans already stored: the first page grows by append
+// (small tracers stay small), every later page is allocated once at
+// full size. The span with SpanRef r is entry (r-1)%spanPage of page
+// (r-1)/spanPage.
+const (
+	spanPageShift = 10
+	spanPage      = 1 << spanPageShift
+)
+
 // Tracer records spans and instants and owns a metric Registry. The zero
 // value is not usable; construct with NewTracer. A nil *Tracer is the
 // disabled tracer: every method no-ops.
 type Tracer struct {
 	mu       sync.Mutex
 	seq      uint64
-	spans    []Span
+	pages    [][]Span
+	nspans   int
 	instants []Instant
 	reg      *Registry
 	dlog     *DecisionLog
@@ -123,8 +134,17 @@ func (t *Tracer) Begin(now float64, track, cat, name string, parent SpanRef, att
 	}
 	t.mu.Lock()
 	t.seq++
-	t.spans = append(t.spans, Span{
-		ID:       uint64(len(t.spans) + 1),
+	p := t.nspans >> spanPageShift
+	if p == len(t.pages) {
+		var page []Span
+		if p > 0 {
+			page = make([]Span, 0, spanPage)
+		}
+		t.pages = append(t.pages, page)
+	}
+	t.nspans++
+	t.pages[p] = append(t.pages[p], Span{
+		ID:       uint64(t.nspans),
 		Parent:   uint64(parent),
 		Track:    track,
 		Name:     name,
@@ -133,9 +153,14 @@ func (t *Tracer) Begin(now float64, track, cat, name string, parent SpanRef, att
 		StartSeq: t.seq,
 		Attrs:    append([]Attr(nil), attrs...),
 	})
-	ref := SpanRef(len(t.spans))
+	ref := SpanRef(t.nspans)
 	t.mu.Unlock()
 	return ref
+}
+
+// at returns the i-th recorded span (0-based); callers hold t.mu.
+func (t *Tracer) at(i int) *Span {
+	return &t.pages[i>>spanPageShift][i&(spanPage-1)]
 }
 
 // SpanAttrs appends typed attributes to a recorded span (open or
@@ -148,8 +173,8 @@ func (t *Tracer) SpanAttrs(ref SpanRef, attrs ...Attr) {
 		return
 	}
 	t.mu.Lock()
-	if int(ref) <= len(t.spans) {
-		s := &t.spans[ref-1]
+	if uint64(ref) <= uint64(t.nspans) {
+		s := t.at(int(ref - 1))
 		s.Attrs = append(s.Attrs, attrs...)
 	}
 	t.mu.Unlock()
@@ -166,7 +191,7 @@ func (t *Tracer) EndReason(now float64, ref SpanRef, reason string) {
 		return
 	}
 	t.mu.Lock()
-	s := &t.spans[ref-1]
+	s := t.at(int(ref - 1))
 	if !s.Closed {
 		t.seq++
 		if now < s.StartMS {
@@ -225,7 +250,14 @@ func (t *Tracer) Spans() []Span {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return append([]Span(nil), t.spans...)
+	if t.nspans == 0 {
+		return nil
+	}
+	out := make([]Span, 0, t.nspans)
+	for _, page := range t.pages {
+		out = append(out, page...)
+	}
+	return out
 }
 
 // Instants returns a copy of every recorded instant in recording order.
@@ -246,10 +278,10 @@ func (t *Tracer) span(ref SpanRef) (Span, bool) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if int(ref) > len(t.spans) {
+	if uint64(ref) > uint64(t.nspans) {
 		return Span{}, false
 	}
-	return t.spans[ref-1], true
+	return *t.at(int(ref - 1)), true
 }
 
 // errf builds checker/exporter errors with a uniform prefix.

@@ -3,7 +3,10 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -215,7 +218,7 @@ func TestWriteChromeDeterministicAndValid(t *testing.T) {
 }
 
 func TestCheckPasses(t *testing.T) {
-	if err := buildTrace().Check(); err != nil {
+	if err := checkMatchesReference(t, buildTrace()); err != nil {
 		t.Fatalf("well-formed trace failed Check: %v", err)
 	}
 }
@@ -231,6 +234,19 @@ func TestCheckViolations(t *testing.T) {
 			tr.Begin(0, "gpu0", CatGPU, "prefill", 0)
 			return tr
 		}, "never ended"},
+		{"unknown parent", func() *Tracer {
+			tr := NewTracer()
+			tr.End(1, tr.Begin(0, "gpu0", CatGPU, "prefill", 99))
+			return tr
+		}, "unknown parent"},
+		{"parent opened later", func() *Tracer {
+			tr := NewTracer()
+			a := tr.Begin(0, "req/a", CatRequest, "queue", 2)
+			root := tr.Begin(0, "req/a", CatRequest, "request", 0)
+			tr.End(1, a)
+			tr.EndReason(1, root, "finish")
+			return tr
+		}, "opened before its parent"},
 		{"child escapes parent", func() *Tracer {
 			tr := NewTracer()
 			root := tr.Begin(0, "req/a", CatRequest, "request", 0)
@@ -275,7 +291,7 @@ func TestCheckViolations(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := tc.build().Check()
+			err := checkMatchesReference(t, tc.build())
 			if err == nil {
 				t.Fatal("Check passed, want violation")
 			}
@@ -302,7 +318,7 @@ func TestCheckAllowsAbuttingMigratedPhases(t *testing.T) {
 	d2 := tr.Begin(10, "req/m", CatRequest, "decode", root)
 	tr.End(14, d2)
 	tr.EndReason(14, root, "finish")
-	if err := tr.Check(); err != nil {
+	if err := checkMatchesReference(t, tr); err != nil {
 		t.Fatalf("abutting migrated phases failed Check: %v", err)
 	}
 }
@@ -314,7 +330,7 @@ func TestCheckAllowsOverlapOffGPUTracks(t *testing.T) {
 	b := tr.Begin(2, "llm", CatLLM, "call", 0)
 	tr.End(10, a)
 	tr.End(12, b)
-	if err := tr.Check(); err != nil {
+	if err := checkMatchesReference(t, tr); err != nil {
 		t.Fatalf("overlapping llm spans failed Check: %v", err)
 	}
 }
@@ -347,5 +363,67 @@ func TestPhaseBreakdown(t *testing.T) {
 	ds := byPhase["decode"]
 	if ds.Count() != 1 || ds.Sum() != 6 {
 		t.Errorf("decode summary count %d sum %v, want 1 sample of 6", ds.Count(), ds.Sum())
+	}
+}
+
+// TestConcurrentRecordCheckExport records from several goroutines across
+// span-page boundaries while Check and WriteChrome read the same tracer:
+// run under -race, it pins that both readers take the tracer's lock and
+// that WriteChrome's copy is safe to render after the lock is released.
+func TestConcurrentRecordCheckExport(t *testing.T) {
+	tr := NewTracer()
+	dl := NewDecisionLog()
+	tr.AttachDecisions(dl)
+	const writers, perWriter = 4, 1500
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			track := fmt.Sprintf("llm%d", w)
+			gauge := tr.Registry().Gauge(track + "/inflight")
+			for i := 0; i < perWriter; i++ {
+				now := float64(i)
+				ref := tr.Begin(now, track, CatLLM, "call", 0)
+				tr.SpanAttrs(ref, I("i", int64(i)))
+				gauge.Set(now, float64(i%3))
+				if i%100 == 0 {
+					tr.Instant(now, track, "retry")
+				}
+				tr.End(now+0.5, ref)
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	for reading := true; reading; {
+		select {
+		case <-done:
+			reading = false
+		default:
+		}
+		_ = tr.Check() // spans still open mid-recording are a legal failure here
+		if err := tr.WriteChrome(io.Discard); err != nil {
+			t.Fatalf("WriteChrome during recording: %v", err)
+		}
+	}
+	if err := checkMatchesReference(t, tr); err != nil {
+		t.Fatalf("finished concurrent trace failed Check: %v", err)
+	}
+	var got, want bytes.Buffer
+	if err := tr.WriteChrome(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeChromeReference(tr, &want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Error("concurrently recorded trace exports differently from the reference")
+	}
+	if n := len(tr.Spans()); n != writers*perWriter {
+		t.Errorf("recorded %d spans, want %d", n, writers*perWriter)
 	}
 }

@@ -80,6 +80,10 @@ type tenantBucket struct {
 	ratePerMS float64
 	burst     float64
 	queued    int // requests currently held at the router
+
+	// The tenant's registry metrics, resolved on first use (traced,
+	// tenanted runs only) so that a traced event builds no name.
+	admittedCounter, rejectedCounter, depthGauge *obs.Metric
 }
 
 func (b *tenantBucket) refill(now float64) {
@@ -150,7 +154,7 @@ func (a *admitter) decide(now float64, r workload.Request) (delayMS float64, ok 
 	switch a.cfg.Policy {
 	case AdmitReject:
 		if b.level < cost {
-			a.reject(now, r)
+			a.reject(now, r, b)
 			return 0, false
 		}
 		b.level -= cost
@@ -158,13 +162,13 @@ func (a *admitter) decide(now float64, r workload.Request) (delayMS float64, ok 
 		wait := 0.0
 		if deficit := cost - b.level; deficit > 0 {
 			if b.ratePerMS <= 0 {
-				a.reject(now, r)
+				a.reject(now, r, b)
 				return 0, false
 			}
 			wait = deficit / b.ratePerMS
 		}
 		if a.cfg.MaxQueueMS > 0 && wait > a.cfg.MaxQueueMS {
-			a.reject(now, r)
+			a.reject(now, r, b)
 			return 0, false
 		}
 		b.level -= cost // reservation: negative level = queued backlog
@@ -178,7 +182,7 @@ func (a *admitter) decide(now float64, r workload.Request) (delayMS float64, ok 
 		}
 	}
 	a.tally(r.Tenant).admitted++
-	a.counter(now, r.Tenant, "admitted")
+	a.counter(now, r.Tenant, &b.admittedCounter, "admitted")
 	return 0, true
 }
 
@@ -189,26 +193,34 @@ func (a *admitter) delivered(now float64, tenant string) {
 	b.queued--
 	a.gaugeDepth(now, tenant, b)
 	a.tally(tenant).admitted++
-	a.counter(now, tenant, "admitted")
+	a.counter(now, tenant, &b.admittedCounter, "admitted")
 }
 
-func (a *admitter) reject(now float64, r workload.Request) {
+func (a *admitter) reject(now float64, r workload.Request, b *tenantBucket) {
 	a.tally(r.Tenant).rejected++
-	a.counter(now, r.Tenant, "rejected")
+	a.counter(now, r.Tenant, &b.rejectedCounter, "rejected")
 }
 
-func (a *admitter) counter(now float64, tenant, name string) {
+// counter adds 1 to the tenant's "tenant/<tenant>/<name>" counter, held
+// in *m once resolved.
+func (a *admitter) counter(now float64, tenant string, m **obs.Metric, name string) {
 	if a.reg == nil || tenant == "" {
 		return
 	}
-	a.reg.Counter("tenant/"+tenant+"/"+name).Add(now, 1)
+	if *m == nil {
+		*m = a.reg.Counter("tenant/" + tenant + "/" + name)
+	}
+	(*m).Add(now, 1)
 }
 
 func (a *admitter) gaugeDepth(now float64, tenant string, b *tenantBucket) {
 	if a.reg == nil || tenant == "" {
 		return
 	}
-	a.reg.Gauge("tenant/"+tenant+"/queue_depth").Set(now, float64(b.queued))
+	if b.depthGauge == nil {
+		b.depthGauge = a.reg.Gauge("tenant/" + tenant + "/queue_depth")
+	}
+	b.depthGauge.Set(now, float64(b.queued))
 }
 
 // TenantStats summarizes one tenant's admission and service outcomes in

@@ -80,11 +80,13 @@ type instance struct {
 	// trace.go); track is its span-track name, depthGauge its live
 	// queue-depth gauge, and iterSpan the currently open iteration span
 	// (closed by the iteration-end event, or by crash with the event
-	// invalidated).
-	trace      *obs.Tracer
-	track      string
-	depthGauge *obs.Metric
-	iterSpan   obs.SpanRef
+	// invalidated). breakerGauge is its breaker-state gauge, resolved on
+	// first use so the registry gains it with the first recorded state.
+	trace        *obs.Tracer
+	track        string
+	depthGauge   *obs.Metric
+	iterSpan     obs.SpanRef
+	breakerGauge *obs.Metric
 
 	// onFinish receives every completed sequence's Result.
 	onFinish func(now float64, r Result)

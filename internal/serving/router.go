@@ -221,8 +221,11 @@ func (c *cluster) traceBreaker(now float64, i int) {
 	if c.trace == nil {
 		return
 	}
-	c.trace.Registry().Gauge(fmt.Sprintf("gpu%d/breaker_state", i)).
-		Set(now, float64(c.breakers[i].StateAt(now)))
+	in := c.insts[i]
+	if in.breakerGauge == nil {
+		in.breakerGauge = c.trace.Registry().Gauge(in.track + "/breaker_state")
+	}
+	in.breakerGauge.Set(now, float64(c.breakers[i].StateAt(now)))
 }
 
 // affinity returns the instance a request's prefix or session hashes to,

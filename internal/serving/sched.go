@@ -36,8 +36,9 @@ type seqState struct {
 	// root and phase are the request's lifecycle spans when tracing is
 	// on (zero refs otherwise, safe to End): root covers arrival to
 	// terminal, phase is the currently open queue/prefill/decode/reroute
-	// child.
+	// child. track names their span track, built on first use.
 	root, phase obs.SpanRef
+	track       string
 }
 
 func (s *seqState) result() Result {

@@ -34,6 +34,15 @@ import (
 // reqTrack names a request's lifecycle track.
 func reqTrack(r workload.Request) string { return "req/" + r.ID }
 
+// reqTrack returns the sequence's lifecycle track, building the name
+// once per request rather than once per traced phase.
+func (s *seqState) reqTrack() string {
+	if s.track == "" {
+		s.track = reqTrack(s.req)
+	}
+	return s.track
+}
+
 // gaugedKV wraps a KVManager and mirrors its occupancy into an obs gauge
 // at the engine's current logical time. Installed only when tracing is
 // on, so untraced runs keep the unwrapped allocator.
@@ -79,7 +88,7 @@ func (in *instance) tracePhase(now float64, s *seqState, name string) {
 		return
 	}
 	in.trace.End(now, s.phase)
-	s.phase = in.trace.Begin(now, reqTrack(s.req), obs.CatRequest, name, s.root)
+	s.phase = in.trace.Begin(now, s.reqTrack(), obs.CatRequest, name, s.root)
 }
 
 // traceArrive opens the request's root span on first arrival and puts it
@@ -89,7 +98,7 @@ func (in *instance) traceArrive(now float64, s *seqState) {
 		return
 	}
 	if s.root == 0 {
-		s.root = in.trace.Begin(now, reqTrack(s.req), obs.CatRequest, "request", 0)
+		s.root = in.trace.Begin(now, s.reqTrack(), obs.CatRequest, "request", 0)
 	}
 	in.tracePhase(now, s, "queue")
 	in.traceDepth(now)
@@ -113,7 +122,7 @@ func (in *instance) traceReject(now float64, s *seqState) {
 		return
 	}
 	if s.root == 0 {
-		s.root = in.trace.Begin(now, reqTrack(s.req), obs.CatRequest, "request", 0)
+		s.root = in.trace.Begin(now, s.reqTrack(), obs.CatRequest, "request", 0)
 	}
 	in.trace.End(now, s.phase)
 	s.phase = 0

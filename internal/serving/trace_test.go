@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"dataai/internal/obs"
+	"dataai/internal/resilient"
+	"dataai/internal/sim"
 	"dataai/internal/workload"
 )
 
@@ -188,6 +190,56 @@ func TestPhaseBreakdownOnRoutedRun(t *testing.T) {
 	}
 }
 
+// TestTracedHooksZeroAlloc pins the traced serving hooks at zero
+// allocations once warm: each request builds its span track name once
+// and each instance and tenant resolves its registry metrics once, so a
+// traced event only appends to span pages and metric series, whose
+// growth amortizes to nothing.
+func TestTracedHooksZeroAlloc(t *testing.T) {
+	tr := obs.NewTracer()
+	in := newInstance(0, DefaultGPU(), ContinuousOpts{Trace: tr}, sim.NewEngine(), nil, nil)
+	s := &seqState{req: workload.Request{ID: "r1", PromptTokens: 16, OutputTokens: 4}}
+	in.traceArrive(0, s)
+	c := &cluster{trace: tr, insts: []*instance{in},
+		breakers: []*resilient.Breaker{resilient.NewBreaker(resilient.BreakerPolicy{FailureThreshold: 2})}}
+	r := workload.Request{ID: "r2", Tenant: "t1", PromptTokens: 16, OutputTokens: 4}
+	// Holds every request (a 1-token burst refills slower than r costs),
+	// and rejects every request (no burst, no refill by time 0).
+	hold := newAdmitter(AdmissionConfig{Policy: AdmitQueue, BurstTokens: 1, RefillPerSec: 1000}, tr.Registry())
+	reject := newAdmitter(AdmissionConfig{Policy: AdmitReject}, tr.Registry())
+
+	hooks := []struct {
+		name string
+		fn   func()
+	}{
+		{"tracePhase", func() { in.tracePhase(1, s, "decode") }},
+		{"traceBreaker", func() { c.traceBreaker(1, 0) }},
+		{"admitter hold and delivery", func() {
+			if _, ok := hold.decide(1, r); !ok {
+				t.Fatal("AdmitQueue rejected")
+			}
+			hold.delivered(1, r.Tenant)
+		}},
+		{"admitter rejection", func() {
+			if _, ok := reject.decide(1, r); ok {
+				t.Fatal("AdmitReject admitted")
+			}
+		}},
+	}
+	for _, h := range hooks {
+		for i := 0; i < 10_000; i++ { // warm: past the first span page and early series growth
+			h.fn()
+		}
+		if allocs := testing.AllocsPerRun(1000, h.fn); allocs != 0 {
+			t.Errorf("%s allocates %.1f/op once warm, want 0", h.name, allocs)
+		}
+	}
+	if reg := tr.Registry(); reg.Lookup("tenant/t1/queue_depth") == nil || reg.Lookup("tenant/t1/rejected") == nil ||
+		reg.Lookup("gpu0/breaker_state") == nil {
+		t.Errorf("hooks recorded under unexpected names: %v", reg.Names())
+	}
+}
+
 // benchSevereRouted measures the E23 severe cell with and without a
 // tracer attached; the pair quantifies the observability layer's
 // overhead for BENCH_obs.json.
@@ -215,17 +267,35 @@ func BenchmarkRoutedTraceOff(b *testing.B) {
 
 func BenchmarkRoutedTraceOn(b *testing.B) { benchSevereRouted(b, obs.NewTracer) }
 
-func BenchmarkWriteChrome(b *testing.B) {
-	cfg := workload.DefaultTrace(47, 300, 50)
-	reqs, err := workload.Generate(cfg)
+// severeTrace records the E23 severe cell's timeline; a non-nil dl logs
+// the routing decisions and attaches them for Check.
+func severeTrace(b *testing.B, dl *obs.DecisionLog) *obs.Tracer {
+	reqs, err := workload.Generate(workload.DefaultTrace(47, 300, 50))
 	if err != nil {
 		b.Fatal(err)
 	}
 	tr := obs.NewTracer()
 	if _, err := RunRoutedFaults(DefaultGPU(), reqs, 4, BreakerAware,
-		ContinuousOpts{ChunkTokens: 256, Trace: tr}, SevereFaultPlan(2303)); err != nil {
+		ContinuousOpts{ChunkTokens: 256, Trace: tr, Decisions: dl}, SevereFaultPlan(2303)); err != nil {
 		b.Fatal(err)
 	}
+	return tr
+}
+
+func BenchmarkTraceCheck(b *testing.B) {
+	tr := severeTrace(b, obs.NewDecisionLog())
+	spans := len(tr.Spans())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := tr.Check(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(spans), "spans")
+}
+
+func BenchmarkWriteChrome(b *testing.B) {
+	tr := severeTrace(b, nil)
 	var buf bytes.Buffer
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

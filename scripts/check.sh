@@ -141,6 +141,9 @@ rm -f /tmp/dataai_servesim /tmp/dataai_sweep_serial.txt /tmp/dataai_sweep_par.tx
 echo "== bench smoke (every Par benchmark runs once)"
 go test -run '^$' -bench=Par -benchtime=1x ./...
 
+echo "== tracing bench smoke (record, Check and WriteChrome benchmarks run once)"
+go test -run '^$' -bench 'Trace|WriteChrome' -benchtime=1x ./internal/serving
+
 echo "== benchall serial vs parallel (fast subset, byte-identical)"
 # The full-set golden diff runs inside the test suite
 # (cmd/benchall/main_test.go); this end-to-end gate re-checks the built
