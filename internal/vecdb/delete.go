@@ -16,12 +16,20 @@ func (f *Flat) Delete(id string) error {
 		return fmt.Errorf("%w: %q", ErrNotFound, id)
 	}
 	last := len(f.ids) - 1
+	dst, di := f.blocks[i/flatBlockRows], i%flatBlockRows
+	src, si := f.blocks[last/flatBlockRows], last%flatBlockRows
+	for d := 0; d < f.dim; d++ {
+		dst[d*f.blockCap+di] = src[d*f.blockCap+si]
+	}
 	f.ids[i] = f.ids[last]
-	f.vecs[i] = f.vecs[last]
 	f.pos[f.ids[i]] = i
 	f.ids = f.ids[:last]
-	f.vecs = f.vecs[:last]
 	delete(f.pos, id)
+	// Release a block the removal emptied; the first block always stays.
+	if last > 0 && si == 0 {
+		f.blocks[len(f.blocks)-1] = nil
+		f.blocks = f.blocks[:len(f.blocks)-1]
+	}
 	return nil
 }
 

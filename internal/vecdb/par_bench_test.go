@@ -3,8 +3,11 @@ package vecdb
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
+	"time"
 
+	"dataai/internal/embed"
 	"dataai/internal/par"
 )
 
@@ -59,14 +62,23 @@ func benchFlat(b *testing.B, n, dim int) *Flat {
 	return f
 }
 
-// BenchmarkParFlatSearch measures the sharded single-query Flat scan.
-func BenchmarkParFlatSearch(b *testing.B) {
-	const n, dim, k = 16384, 64, 10
-	f := benchFlat(b, n, dim)
-	q := randVec(rand.New(rand.NewSource(2)), dim)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("w%d", workers), func(b *testing.B) {
-			f.SetParallelism(workers)
+// sparseVec returns a unit vector with nz non-zero coordinates at
+// distinct random positions.
+func sparseVec(rng *rand.Rand, dim, nz int) []float32 {
+	v := make([]float32, dim)
+	for _, d := range rng.Perm(dim)[:nz] {
+		v[d] = float32(rng.NormFloat64())
+	}
+	embed.Normalize(v)
+	return v
+}
+
+// benchFlatSearch times f.Search(q, k) at each worker count.
+func benchFlatSearch(b *testing.B, f *Flat, q []float32, k int, workers ...int) {
+	n := f.Len()
+	for _, w := range workers {
+		b.Run(fmt.Sprintf("w%d", w), func(b *testing.B) {
+			f.SetParallelism(w)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -74,9 +86,71 @@ func BenchmarkParFlatSearch(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(critPathSpeedupShards(n, workers), "critpath-x")
+			b.ReportMetric(critPathSpeedupShards(n, w), "critpath-x")
 		})
 	}
+}
+
+// BenchmarkParFlatSearch measures the sharded single-query Flat scan.
+func BenchmarkParFlatSearch(b *testing.B) {
+	const n, dim, k = 16384, 64, 10
+	f := benchFlat(b, n, dim)
+	q := randVec(rand.New(rand.NewSource(2)), dim)
+	benchFlatSearch(b, f, q, k, 1, 2, 4, 8)
+}
+
+// BenchmarkParFlatSearchAtMin times the dense scan at flatParallelMin
+// rows, the smallest index the sharded scan runs on: w2 must beat w1
+// here for that threshold to stand. Each iteration runs one serial and
+// one 2-worker search, alternating which goes first, so the host's speed
+// drift (it moves by tens of percent within seconds on a shared machine)
+// hits both sides alike; it reports each side's median per search and
+// the share of iterations the 2-worker search won.
+func BenchmarkParFlatSearchAtMin(b *testing.B) {
+	const dim, k = 64, 10
+	f := benchFlat(b, flatParallelMin, dim)
+	q := randVec(rand.New(rand.NewSource(2)), dim)
+	times := [2][]float64{make([]float64, b.N), make([]float64, b.N)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < 2; j++ {
+			w := 1 + (i+j)%2
+			f.SetParallelism(w)
+			start := time.Now()
+			if _, err := f.Search(q, k); err != nil {
+				b.Fatal(err)
+			}
+			times[w-1][i] = float64(time.Since(start).Nanoseconds()) / 1e6
+		}
+	}
+	wins := 0
+	for i := range times[0] {
+		if times[1][i] < times[0][i] {
+			wins++
+		}
+	}
+	for w, ts := range times {
+		sort.Float64s(ts)
+		b.ReportMetric(ts[len(ts)/2], fmt.Sprintf("w%d-ms", w+1))
+	}
+	b.ReportMetric(float64(wins)/float64(b.N), "w2-wins")
+}
+
+// BenchmarkParFlatSearchSparse measures the scan on the prep-rag
+// benchmark's shape: the hash embedder's 256-dim chunk vectors carry
+// about 46 non-zero coordinates and its queries about 25, and the RAG
+// pipeline asks for the top 4 of 13,312 chunks.
+func BenchmarkParFlatSearchSparse(b *testing.B) {
+	const n, dim, storedNZ, queryNZ, k = 13312, 256, 46, 25, 4
+	rng := rand.New(rand.NewSource(6))
+	f := NewFlat(dim)
+	for i := 0; i < n; i++ {
+		if err := f.Add(fmt.Sprintf("v%06d", i), sparseVec(rng, dim, storedNZ)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	benchFlatSearch(b, f, sparseVec(rng, dim, queryNZ), k, 1, 2)
 }
 
 // BenchmarkParFlatSearchBatch measures SearchBatch across queries — the

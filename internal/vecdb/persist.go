@@ -13,10 +13,17 @@ type snapshot struct {
 	Vecs [][]float32
 }
 
-// Save serializes the Flat index to w in gob format.
+// Save serializes the Flat index to w in gob format. The snapshot is
+// copied under the read lock, so writes that race with Save never tear
+// it; encoding runs after the lock is released.
 func (f *Flat) Save(w io.Writer) error {
 	f.mu.RLock()
-	snap := snapshot{Dim: f.dim, IDs: f.ids, Vecs: f.vecs}
+	snap := snapshot{Dim: f.dim, IDs: append([]string(nil), f.ids...), Vecs: make([][]float32, len(f.ids))}
+	rows := make([]float32, len(f.ids)*f.dim)
+	for i := range snap.Vecs {
+		snap.Vecs[i] = rows[i*f.dim : (i+1)*f.dim]
+		f.row(i, snap.Vecs[i])
+	}
 	f.mu.RUnlock()
 	if err := gob.NewEncoder(w).Encode(snap); err != nil {
 		return fmt.Errorf("vecdb: save: %w", err)
@@ -29,6 +36,9 @@ func LoadFlat(r io.Reader) (*Flat, error) {
 	var snap snapshot
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("vecdb: load: %w", err)
+	}
+	if len(snap.Vecs) != len(snap.IDs) {
+		return nil, fmt.Errorf("vecdb: load: %d ids but %d vectors", len(snap.IDs), len(snap.Vecs))
 	}
 	f := NewFlat(snap.Dim)
 	for i, id := range snap.IDs {

@@ -17,11 +17,11 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
 
-	"dataai/internal/embed"
 	"dataai/internal/par"
 )
 
@@ -37,6 +37,9 @@ var (
 	ErrNotFound = errors.New("vecdb: id not found")
 	// ErrEmptyIndex indicates a search against an index with no vectors.
 	ErrEmptyIndex = errors.New("vecdb: empty index")
+	// ErrNonFinite indicates a vector with a NaN or infinite coordinate,
+	// which Flat refuses to store (see Flat.Add).
+	ErrNonFinite = errors.New("vecdb: non-finite vector coordinate")
 )
 
 // Result is one search hit. Score is the inner product with the query —
@@ -88,22 +91,34 @@ type DistCounter interface {
 }
 
 // Flat is an exact brute-force index. It is safe for concurrent use.
+//
+// Vectors are stored dimension-major in blocks of flatBlockRows rows:
+// coordinate d of row r lives at blocks[r/flatBlockRows][d*blockCap +
+// r%flatBlockRows]. A search then reads, per block, only the columns of
+// the query's non-zero coordinates (see scan). Only the first block
+// grows, by doubling, so a small index stays small; once it is full,
+// blockCap is flatBlockRows and every later block is allocated whole.
 type Flat struct {
 	parallelism
-	mu    sync.RWMutex
-	dim   int
-	ids   []string
-	vecs  [][]float32
-	pos   map[string]int
-	dists atomic.Uint64
+	mu       sync.RWMutex
+	dim      int
+	ids      []string
+	blocks   [][]float32
+	blockCap int // rows per block column; flatBlockRows once a second block exists
+	pos      map[string]int
+	dists    atomic.Uint64
 }
+
+// flatBlockRows is the row count of a full Flat block, and the length of
+// the on-stack score buffer a scan fills per block.
+const flatBlockRows = 1024
 
 // DistComps implements DistCounter.
 func (f *Flat) DistComps() uint64 { return f.dists.Load() }
 
 // NewFlat returns an empty exact index for dim-dimensional vectors.
 func NewFlat(dim int) *Flat {
-	return &Flat{dim: dim, pos: make(map[string]int)}
+	return &Flat{dim: dim, blocks: make([][]float32, 1), pos: make(map[string]int)}
 }
 
 // Dim implements Index.
@@ -116,25 +131,66 @@ func (f *Flat) Len() int {
 	return len(f.ids)
 }
 
-// Add implements Index.
+// Add implements Index. It also returns ErrNonFinite, storing nothing,
+// when vec has a NaN or infinite coordinate: such a value has no place
+// in the strict total order results are ranked by (see beats), and it
+// would make the sparse scan differ from a dense inner product, where
+// 0 × Inf is NaN.
 func (f *Flat) Add(id string, vec []float32) error {
 	if len(vec) != f.dim {
 		return fmt.Errorf("%w: got %d want %d", ErrDimension, len(vec), f.dim)
+	}
+	for d, x := range vec {
+		if math.IsNaN(float64(x)) || math.IsInf(float64(x), 0) {
+			return fmt.Errorf("%w: %q coordinate %d is %v", ErrNonFinite, id, d, x)
+		}
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if _, ok := f.pos[id]; ok {
 		return fmt.Errorf("%w: %q", ErrDuplicateID, id)
 	}
-	f.pos[id] = len(f.ids)
+	f.grow()
+	row := len(f.ids)
+	f.pos[id] = row
 	f.ids = append(f.ids, id)
-	cp := make([]float32, len(vec))
-	copy(cp, vec)
-	f.vecs = append(f.vecs, cp)
+	blk, r := f.blocks[row/flatBlockRows], row%flatBlockRows
+	for d, x := range vec {
+		blk[d*f.blockCap+r] = x
+	}
 	return nil
 }
 
-// Get returns the stored vector for id.
+// grow makes room for row len(f.ids): it doubles the first block,
+// moving its columns to the new stride, until that block is full, then
+// appends whole blocks. Must be called with f.mu held.
+func (f *Flat) grow() {
+	n := len(f.ids)
+	switch {
+	case f.blockCap == flatBlockRows:
+		if n == len(f.blocks)*flatBlockRows {
+			f.blocks = append(f.blocks, make([]float32, flatBlockRows*f.dim))
+		}
+	case n == f.blockCap:
+		c := max(2*f.blockCap, 1)
+		blk := make([]float32, c*f.dim)
+		for d := 0; d < f.dim; d++ {
+			copy(blk[d*c:d*c+n], f.blocks[0][d*f.blockCap:])
+		}
+		f.blocks[0], f.blockCap = blk, c
+	}
+}
+
+// row copies stored row i into dst. Must be called with f.mu read-held.
+func (f *Flat) row(i int, dst []float32) {
+	blk, r := f.blocks[i/flatBlockRows], i%flatBlockRows
+	for d := range dst {
+		dst[d] = blk[d*f.blockCap+r]
+	}
+}
+
+// Get returns a copy of the stored vector for id: writing to it does
+// not change the index.
 func (f *Flat) Get(id string) ([]float32, error) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
@@ -142,7 +198,9 @@ func (f *Flat) Get(id string) ([]float32, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, id)
 	}
-	return f.vecs[i], nil
+	v := make([]float32, f.dim)
+	f.row(i, v)
+	return v, nil
 }
 
 // Search implements Index.
@@ -163,8 +221,11 @@ func (f *Flat) SearchFilter(query []float32, k int, keep func(id string) bool) (
 }
 
 // flatParallelMin is the index size below which a sharded scan is not
-// worth the fan-out overhead; measured crossover is a few thousand
-// 64-dim vectors (see BenchmarkParFlatSearch).
+// worth the fan-out overhead. At this size two workers still win: on a
+// dense 4096 × 64 index BenchmarkParFlatSearchAtMin read 0.21 ms at w2
+// against 0.27 ms at w1, w2 faster in 71% of its interleaved searches
+// (medians of 10 runs on a 2-vCPU Xeon; BENCH_par.json,
+// flat_sparse_scan).
 const flatParallelMin = 4096
 
 // searchOne runs one scan at the given worker count.
@@ -182,16 +243,73 @@ func (f *Flat) searchOne(query []float32, k int, keep func(id string) bool, work
 		return f.scanShards(query, k, keep, workers), nil
 	}
 	h := newTopK(k)
-	var dots uint64
-	for i, v := range f.vecs {
-		if keep != nil && !keep(f.ids[i]) {
-			continue
-		}
-		dots++
-		h.offer(Result{ID: f.ids[i], Score: embed.Dot(query, v)})
-	}
-	f.dists.Add(dots)
+	f.dists.Add(f.scan(query, 0, n, keep, h))
 	return h.sorted(), nil
+}
+
+// scan scores rows [lo, hi) against query, offers every row keep accepts
+// to h in row order, and returns how many it offered.
+//
+// Each block is scored column by column: for every non-zero query
+// coordinate d, in ascending order, q[d]·v[d] is added to each row's
+// running score in an on-stack buffer. A row's score is therefore
+// exactly embed.Dot(query, v) — the same float32 products, added in the
+// same order, starting from +0 — minus the terms whose query coordinate
+// is zero. Skipping those cannot change a bit: v[d] is finite (Add
+// refuses anything else), so the skipped product is ±0; a sum that
+// starts at +0 can never become -0, and adding ±0 to anything other
+// than -0 returns it unchanged.
+//
+// Must be called with f.mu read-held.
+func (f *Flat) scan(query []float32, lo, hi int, keep func(id string) bool, h *topK) uint64 {
+	var buf [flatBlockRows]float32
+	var dots uint64
+	for lo < hi {
+		blk, r0 := f.blocks[lo/flatBlockRows], lo%flatBlockRows
+		scores := buf[:min(hi-lo, flatBlockRows-r0)]
+		clear(scores)
+		for d, qd := range query {
+			if qd == 0 {
+				continue
+			}
+			addScaled(scores, blk[d*f.blockCap+r0:], qd)
+		}
+		for r, s := range scores {
+			id := f.ids[lo+r]
+			if keep != nil && !keep(id) {
+				continue
+			}
+			dots++
+			h.offer(Result{ID: id, Score: s})
+		}
+		lo += len(scores)
+	}
+	return dots
+}
+
+// addScaled adds q·col[r] to scores[r] for every row r of scores.
+//
+// It handles four rows per iteration and stays out of line, so its loop
+// keeps its counters in registers instead of spilling them around scan's
+// large frame. The plain one-row loop inlined into scan was at the mercy
+// of where the linker put it: on a 2-vCPU Xeon the same 4096 × 64 serial
+// scan read 0.25 or 0.41 ms depending on the loop's offset within a
+// 64-byte line, where this form read 0.23–0.27 ms at every offset tried.
+//
+//go:noinline
+func addScaled(scores, col []float32, q float32) {
+	col = col[:len(scores)]
+	r := 0
+	for ; r+4 <= len(col); r += 4 {
+		s, c := scores[r:r+4:r+4], col[r:r+4:r+4]
+		s[0] += q * c[0]
+		s[1] += q * c[1]
+		s[2] += q * c[2]
+		s[3] += q * c[3]
+	}
+	for ; r < len(col); r++ {
+		scores[r] += q * col[r]
+	}
 }
 
 // flatShard is one shard's contribution to a sharded scan: its local
@@ -201,29 +319,25 @@ type flatShard struct {
 	dots uint64
 }
 
-// scanShards is the parallel Flat scan: the vector array is split into
+// scanShards is the parallel Flat scan: the rows are split into
 // contiguous shards, each shard selects its local top-k under the same
 // strict total order the serial scan uses (see beats), and shards merge
 // in shard-index order. Determinism is by construction, not by luck:
 //
-//   - topK selection under a strict total order is a pure function of
-//     the candidate multiset (offer order cannot matter), so merging
-//     the shard-local top-ks yields exactly the serial scan's top-k;
+//   - a row's score does not depend on which shard, or which part of a
+//     block, scores it (see scan), and topK selection under a strict
+//     total order is a pure function of the candidate multiset (offer
+//     order cannot matter), so merging the shard-local top-ks yields
+//     exactly the serial scan's top-k;
 //   - every stored vector is scored in exactly one shard, and the
 //     per-shard uint64 counts sum — integer addition is associative —
 //     to exactly the serial DistComps increment.
 //
 // Must be called with f.mu read-held.
 func (f *Flat) scanShards(query []float32, k int, keep func(id string) bool, workers int) []Result {
-	parts := par.MapChunks(len(f.vecs), workers, func(_, lo, hi int) flatShard {
+	parts := par.MapChunks(len(f.ids), workers, func(_, lo, hi int) flatShard {
 		sh := flatShard{h: newTopK(k)}
-		for i := lo; i < hi; i++ {
-			if keep != nil && !keep(f.ids[i]) {
-				continue
-			}
-			sh.dots++
-			sh.h.offer(Result{ID: f.ids[i], Score: embed.Dot(query, f.vecs[i])})
-		}
+		sh.dots = f.scan(query, lo, hi, keep, sh.h)
 		return sh
 	})
 	h := newTopK(k)

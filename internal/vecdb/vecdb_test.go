@@ -2,8 +2,10 @@ package vecdb
 
 import (
 	"bytes"
+	"encoding/gob"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -90,6 +92,51 @@ func TestFlatGetReturnsStoredVector(t *testing.T) {
 	}
 	if got[0] != 0.1 {
 		t.Error("index did not copy the inserted vector")
+	}
+}
+
+// TestFlatGetReturnsCopy: writing to the slice Get returns must not
+// change what the index stores or how it ranks.
+func TestFlatGetReturnsCopy(t *testing.T) {
+	f := NewFlat(2)
+	if err := f.Add("a", []float32{1, 0}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Add("b", []float32{0, 1}); err != nil {
+		t.Fatal(err)
+	}
+	v, err := f.Get("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v[1] = -5
+	res, err := f.Search([]float32{0, 1}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res[0].ID != "b" {
+		t.Errorf("query for b returned %s after writing to Get's result", res[0].ID)
+	}
+	if again, _ := f.Get("b"); again[1] != 1 {
+		t.Errorf("stored b[1] = %v after writing to Get's result, want 1", again[1])
+	}
+}
+
+// TestFlatAddRejectsNonFinite: NaN and ±Inf coordinates are refused with
+// ErrNonFinite and nothing is stored.
+func TestFlatAddRejectsNonFinite(t *testing.T) {
+	f := NewFlat(3)
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	for _, v := range [][]float32{{nan, 0, 0}, {0, inf, 0}, {0, 0, -inf}} {
+		if err := f.Add("x", v); !errors.Is(err, ErrNonFinite) {
+			t.Errorf("Add(%v) err = %v, want ErrNonFinite", v, err)
+		}
+	}
+	if f.Len() != 0 {
+		t.Errorf("Len = %d after rejected adds, want 0", f.Len())
+	}
+	if err := f.Add("x", []float32{math.MaxFloat32, -math.MaxFloat32, 0}); err != nil {
+		t.Errorf("finite extremes rejected: %v", err)
 	}
 }
 
@@ -369,6 +416,21 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 func TestLoadFlatCorrupt(t *testing.T) {
 	if _, err := LoadFlat(bytes.NewReader([]byte("not gob"))); err == nil {
 		t.Error("expected error for corrupt input")
+	}
+	encode := func(snap snapshot) *bytes.Buffer {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
+			t.Fatal(err)
+		}
+		return &buf
+	}
+	inf := float32(math.Inf(1))
+	_, err := LoadFlat(encode(snapshot{Dim: 2, IDs: []string{"a", "b"}, Vecs: [][]float32{{1, 0}, {0, inf}}}))
+	if !errors.Is(err, ErrNonFinite) {
+		t.Errorf("snapshot with Inf: err = %v, want ErrNonFinite", err)
+	}
+	if _, err := LoadFlat(encode(snapshot{Dim: 2, IDs: []string{"a", "b"}, Vecs: [][]float32{{1, 0}}})); err == nil {
+		t.Error("snapshot with more ids than vectors loaded without error")
 	}
 }
 

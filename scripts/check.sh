@@ -48,6 +48,9 @@ echo "== resilience stress under race (repeated runs)"
 # chances to surface.
 go test -race -count=3 ./internal/faults ./internal/resilient
 go test -race -count=3 -run 'SingleFlight|Parallel' ./internal/llm ./internal/semop
+# vecdb.Flat: Save racing Delete, concurrent Add/Search/Delete, and the
+# sharded scan against the serial one and the dense reference scan.
+go test -race -count=10 -run 'Flat' ./internal/vecdb
 
 echo "== servesim smoke (routed cluster end-to-end)"
 # One routed run with faults exercises the whole serving stack from the
