@@ -11,11 +11,11 @@ import "dataai/internal/metrics"
 // charged on the simulated clock, riding the iteration it happens in),
 // and a re-routed sequence resumes from its newest checkpoint, paying
 // only a restore transfer plus the tokens generated since the capture.
-// The store is keyed by request ID and lives outside any instance, so
-// it survives the crash that killed the GPU-resident state — the
-// serving-side sibling of internal/training's checkpoint/recovery
-// model. Everything here is a pure function of the logical clock: no
-// wall time, no math/rand.
+// A checkpoint is recorded on its sequence (seqState.ckpt), which lives
+// with the router outside any instance, so it survives the crash that
+// killed the GPU-resident state — the serving-side sibling of
+// internal/training's checkpoint/recovery model. Everything here is a
+// pure function of the logical clock: no wall time, no math/rand.
 
 // RecoveryConfig selects a routed run's crash-recovery policy. The zero
 // value disables all of it, making RunRoutedRecovery byte-identical to
@@ -116,16 +116,12 @@ func (rc RecoveryConfig) prefixXferMSPerToken() float64 {
 	return 0.005
 }
 
-// recovery is one routed run's crash-recovery state: the host-side
-// checkpoint store (crash-survivable by construction — it lives with
-// the router, not on any instance) and the run's recovery accounting.
+// recovery is one routed run's crash-recovery policy and accounting.
+// The checkpoints themselves live on their sequences (seqState.ckpt)
+// and are reclaimed with them when the pool takes the sequence back.
 // Engines are single-threaded, so no locking.
 type recovery struct {
 	cfg RecoveryConfig
-	// ctx maps request ID → context tokens covered by the newest
-	// checkpoint (prompt + generated at capture time). Entries are
-	// dropped when the request resolves.
-	ctx map[string]int
 
 	writes      int // checkpoint captures that covered new tokens
 	writeTokens int // context tokens shipped to host memory
@@ -140,37 +136,19 @@ type recovery struct {
 }
 
 func newRecovery(cfg RecoveryConfig) *recovery {
-	return &recovery{cfg: cfg, ctx: make(map[string]int)}
+	return &recovery{cfg: cfg}
 }
 
-// covered reports the context tokens the newest checkpoint of id holds
-// (0 when none exists).
-func (rc *recovery) covered(id string) int {
-	if rc == nil {
-		return 0
-	}
-	return rc.ctx[id]
-}
-
-// save records a checkpoint of id at ctx context tokens and returns the
-// newly covered delta — the tokens whose transfer the caller must
-// charge. A capture that is no further than the stored one is free.
-func (rc *recovery) save(id string, ctx int) int {
-	prev := rc.ctx[id]
+// save checkpoints s at ctx context tokens and returns the newly
+// covered delta — the tokens whose transfer the caller must charge. A
+// capture that is no further than the stored one is free.
+func (rc *recovery) save(s *seqState, ctx int) int {
+	prev := s.ckpt
 	if ctx <= prev {
 		return 0
 	}
-	rc.ctx[id] = ctx
+	s.ckpt = ctx
 	rc.writes++
 	rc.writeTokens += ctx - prev
 	return ctx - prev
-}
-
-// drop forgets id's checkpoint — the request resolved (finished or was
-// rejected at drain) and its host-side state is reclaimed.
-func (rc *recovery) drop(id string) {
-	if rc == nil {
-		return
-	}
-	delete(rc.ctx, id)
 }

@@ -2,6 +2,7 @@ package serving
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -118,22 +119,22 @@ func TestClusterPeakKVIsSimultaneousHighWater(t *testing.T) {
 	a := &talliedKV{KVManager: NewPagedKV(gpu), tally: tally}
 	b := &talliedKV{KVManager: NewPagedKV(gpu), tally: tally}
 
-	if !a.Alloc("s1", 1600) { // 100 blocks
+	if !a.Alloc(1, 1600) { // 100 blocks
 		t.Fatal("alloc a")
 	}
-	a.Free("s1")
-	if !b.Alloc("s2", 1600) { // 100 blocks, after a's released
+	a.Free(1)
+	if !b.Alloc(2, 1600) { // 100 blocks, after a's released
 		t.Fatal("alloc b")
 	}
-	b.Free("s2")
+	b.Free(2)
 	sum := a.PeakBlocks() + b.PeakBlocks()
 	if tally.peak != 100 || sum != 200 {
 		t.Errorf("cluster peak = %d (per-instance sum %d), want 100 vs 200", tally.peak, sum)
 	}
 
 	// Overlapping usage does count together.
-	a.Alloc("s3", 1600)
-	b.Alloc("s4", 1600)
+	a.Alloc(3, 1600)
+	b.Alloc(4, 1600)
 	if tally.peak != 200 {
 		t.Errorf("overlapping peak = %d, want 200", tally.peak)
 	}
@@ -305,5 +306,103 @@ func TestBreakerAwareWinsGoodputUnderSevereFaults(t *testing.T) {
 	if goodput[BreakerAware] <= goodput[RoundRobin] || goodput[BreakerAware] <= goodput[CacheAware] {
 		t.Errorf("breaker-aware goodput %.4f does not beat round-robin %.4f / cache-aware %.4f",
 			goodput[BreakerAware], goodput[RoundRobin], goodput[CacheAware])
+	}
+}
+
+// TestDuplicateIDsServeLikeDistinct: a request ID names a request for
+// its caller, and nothing the simulator keeps per live sequence — KV
+// blocks, checkpoints — is keyed by it. So a trace whose live requests
+// share IDs must be served exactly like the same trace with distinct
+// IDs: the same Results in the same order once IDs are set aside, and
+// the same report, checkpoint writes and tokens included. Keying by ID
+// made a second live request with the same ID queue behind the first
+// (its KV reservation was refused) and made same-ID sequences share one
+// checkpoint.
+func TestDuplicateIDsServeLikeDistinct(t *testing.T) {
+	// Two requests 1 ms apart: the second one's first token waits for
+	// the first one's prefill, not for its whole lifetime.
+	pair := []workload.Request{
+		{ID: "a", ArrivalMS: 0, PromptTokens: 64, OutputTokens: 200},
+		{ID: "b", ArrivalMS: 1, PromptTokens: 64, OutputTokens: 200},
+	}
+	trace := prefixTrace(t, 91)
+	rec := RecoveryConfig{CkptEveryIters: 4, Migrate: true}
+	runs := []struct {
+		name string
+		reqs []workload.Request
+		run  func([]workload.Request) (*RoutedReport, error)
+	}{
+		{"continuous", pair, func(reqs []workload.Request) (*RoutedReport, error) {
+			rep, err := RunContinuous(DefaultGPU(), reqs, ContinuousOpts{})
+			if err != nil {
+				return nil, err
+			}
+			return &RoutedReport{Report: *rep}, nil
+		}},
+		{"routed-1", pair, func(reqs []workload.Request) (*RoutedReport, error) {
+			return RunRoutedRecovery(DefaultGPU(), reqs, 1, BreakerAware, ContinuousOpts{}, nil, rec)
+		}},
+		{"continuous-trace", trace, func(reqs []workload.Request) (*RoutedReport, error) {
+			rep, err := RunContinuous(DefaultGPU(), reqs, ContinuousOpts{ChunkTokens: 256, OnDemand: true})
+			if err != nil {
+				return nil, err
+			}
+			return &RoutedReport{Report: *rep}, nil
+		}},
+		{"routed-4-ckpt-migrate", trace, func(reqs []workload.Request) (*RoutedReport, error) {
+			return RunRoutedRecovery(DefaultGPU(), reqs, 4, BreakerAware,
+				ContinuousOpts{ChunkTokens: 256}, SevereFaultPlan(2303), rec)
+		}},
+	}
+	withoutIDs := func(rep *RoutedReport) *RoutedReport {
+		out := *rep
+		out.Results = append([]Result(nil), rep.Results...)
+		for i := range out.Results {
+			out.Results[i].Req.ID = ""
+		}
+		return &out
+	}
+	for _, tc := range runs {
+		t.Run(tc.name, func(t *testing.T) {
+			distinct := append([]workload.Request(nil), tc.reqs...)
+			shared := append([]workload.Request(nil), tc.reqs...)
+			for i := range distinct {
+				distinct[i].ID = fmt.Sprintf("r%04d", i)
+				shared[i].ID = "a"
+			}
+			want, err := tc.run(distinct)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := tc.run(shared)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got.Results) != len(tc.reqs) {
+				t.Fatalf("%d results for %d requests", len(got.Results), len(tc.reqs))
+			}
+			if got.CkptWrites != want.CkptWrites || got.CkptTokens != want.CkptTokens {
+				t.Errorf("checkpoints: shared IDs %d writes / %d tokens, distinct %d / %d",
+					got.CkptWrites, got.CkptTokens, want.CkptWrites, want.CkptTokens)
+			}
+			if !reflect.DeepEqual(withoutIDs(got), withoutIDs(want)) {
+				t.Errorf("shared IDs changed the run: TTFT p99 %.1f vs %.1f ms, makespan %.1f vs %.1f ms",
+					got.TTFT.P99(), want.TTFT.P99(), got.MakespanMS, want.MakespanMS)
+			}
+		})
+	}
+	// By hand: the second request arrives 1 ms into the first's 3.2 ms
+	// prefill and is prefilled right after it, whatever its ID.
+	twin := pair[1]
+	twin.ID = pair[0].ID
+	rep, err := RunContinuous(DefaultGPU(), []workload.Request{pair[0], twin}, ContinuousOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 2*64/DefaultGPU().PrefillTokensPerMS - 1
+	for _, r := range rep.Results {
+		if r.Req.ArrivalMS == 1 && math.Abs(r.TTFTms-want) > 1e-9 {
+			t.Errorf("second same-ID request TTFT = %.4f ms, want %.4f", r.TTFTms, want)
+		}
 	}
 }

@@ -24,6 +24,24 @@ func newBareCluster(policy RouterPolicy, n int) *cluster {
 	return c
 }
 
+// leastLoaded returns the instance with the smallest live outstanding
+// token load, skipping exclude (ties break to the lowest index). The
+// live router picks through the scored path (scoreInstances); this
+// direct argmin is the reference the scored CacheAware fallback is
+// differentially tested against.
+func (c *cluster) leastLoaded(exclude int) int {
+	best := -1
+	for i, in := range c.insts {
+		if i == exclude && len(c.insts) > 1 {
+			continue
+		}
+		if best < 0 || in.queueLoad() < c.insts[best].queueLoad() {
+			best = i
+		}
+	}
+	return best
+}
+
 // decisionTrace is a small routed workload with shared prefixes — the
 // replay tests force every decision of it, so it stays deliberately
 // smaller than prefixTrace.

@@ -2,7 +2,6 @@ package serving
 
 import (
 	"fmt"
-	"sort"
 
 	"dataai/internal/obs"
 	"dataai/internal/sim"
@@ -43,8 +42,7 @@ func RunColocated(gpu GPUConfig, reqs []workload.Request, n int, opts Continuous
 	if n < 1 {
 		return nil, fmt.Errorf("%w: gpus %d", ErrConfig, n)
 	}
-	ordered := append([]workload.Request(nil), reqs...)
-	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].ArrivalMS < ordered[j].ArrivalMS })
+	ordered := arrivalOrder(reqs)
 
 	eng := sim.NewEngine()
 	pool := &seqPool{}
@@ -98,8 +96,7 @@ func RunDisaggregated(gpu GPUConfig, reqs []workload.Request, opts DisaggOpts) (
 	if opts.PrefillGPUs < 1 || opts.DecodeGPUs < 1 {
 		return nil, fmt.Errorf("%w: pool sizes %d/%d", ErrConfig, opts.PrefillGPUs, opts.DecodeGPUs)
 	}
-	ordered := append([]workload.Request(nil), reqs...)
-	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].ArrivalMS < ordered[j].ArrivalMS })
+	ordered := arrivalOrder(reqs)
 
 	eng := sim.NewEngine()
 	perPool := make([][]Result, opts.DecodeGPUs)
@@ -141,46 +138,47 @@ func RunDisaggregated(gpu GPUConfig, reqs []workload.Request, opts DisaggOpts) (
 			p.arrive(now, job)
 		})
 	}
-	for _, r := range ordered {
-		r := r
-		eng.At(r.ArrivalMS, func(now float64) {
-			// Earliest-available prefill GPU.
-			g := 0
-			for i := 1; i < len(prefillFree); i++ {
-				if prefillFree[i] < prefillFree[g] {
-					g = i
-				}
+	// One ArgHandler takes every arrival; its argument is the request's
+	// index in the trace, which is also the request's KV handle.
+	arrive := func(now float64, idx uint64) {
+		r := ordered[idx]
+		// Earliest-available prefill GPU.
+		g := 0
+		for i := 1; i < len(prefillFree); i++ {
+			if prefillFree[i] < prefillFree[g] {
+				g = i
 			}
-			start := now
-			if prefillFree[g] > start {
-				start = prefillFree[g]
-			}
-			end := start + gpu.prefillMS(r.PromptTokens)
-			prefillFree[g] = end
-			transfer := float64(r.PromptTokens) * opts.TransferMSPerToken
-			if opts.OverlapTransfer {
-				transfer = 0 // streamed layer-wise during prefill
-			}
-			job := decodeJob{req: r, firstToken: end, readyMS: end + transfer}
-			if tr := opts.Trace; tr != nil {
-				// The prefill pool's schedule is fully decided here, so its
-				// spans are recorded now with their (future) logical times;
-				// the exporter's (time, seq) sort puts them in place.
-				gSpan := tr.Begin(start, fmt.Sprintf("prefill%d", g), obs.CatGPU, "prefill", 0)
-				tr.End(end, gSpan)
-				job.root = tr.Begin(now, reqTrack(r), obs.CatRequest, "request", 0)
-				q := tr.Begin(now, reqTrack(r), obs.CatRequest, "queue", job.root)
-				tr.End(start, q)
-				p := tr.Begin(start, reqTrack(r), obs.CatRequest, "prefill", job.root)
-				tr.End(end, p)
-				job.transfer = tr.Begin(end, reqTrack(r), obs.CatRequest, "transfer", job.root)
-			}
-			deliver(job, 0)
-		})
+		}
+		start := now
+		if prefillFree[g] > start {
+			start = prefillFree[g]
+		}
+		end := start + gpu.prefillMS(r.PromptTokens)
+		prefillFree[g] = end
+		transfer := float64(r.PromptTokens) * opts.TransferMSPerToken
+		if opts.OverlapTransfer {
+			transfer = 0 // streamed layer-wise during prefill
+		}
+		job := decodeJob{req: r, idx: int(idx), firstToken: end, readyMS: end + transfer}
+		if tr := opts.Trace; tr != nil {
+			// The prefill pool's schedule is fully decided here, so its
+			// spans are recorded now with their (future) logical times;
+			// the exporter's (time, seq) sort puts them in place.
+			gSpan := tr.Begin(start, fmt.Sprintf("prefill%d", g), obs.CatGPU, "prefill", 0)
+			tr.End(end, gSpan)
+			job.root = tr.Begin(now, reqTrack(r), obs.CatRequest, "request", 0)
+			q := tr.Begin(now, reqTrack(r), obs.CatRequest, "queue", job.root)
+			tr.End(start, q)
+			p := tr.Begin(start, reqTrack(r), obs.CatRequest, "prefill", job.root)
+			tr.End(end, p)
+			job.transfer = tr.Begin(end, reqTrack(r), obs.CatRequest, "transfer", job.root)
+		}
+		deliver(job, 0)
 	}
+	eng.Stream(len(ordered), func(i int) float64 { return ordered[i].ArrivalMS }, arrive)
 	eng.Run()
 
-	var results []Result
+	results := make([]Result, 0, len(ordered)) // every request resolves once
 	peak := 0
 	for i, pool := range pools {
 		for _, d := range pool.waiting {
@@ -229,7 +227,7 @@ type dstate struct {
 }
 
 func (di *decodeInstance) finish(now float64, d *dstate) {
-	di.kv.Free(d.job.req.ID)
+	di.kv.Free(d.job.idx)
 	r := Result{
 		Req:             d.job.req,
 		FinishMS:        d.finishMS,
@@ -274,7 +272,7 @@ func (di *decodeInstance) step(now float64) {
 		if d.job.req.OutputTokens <= 1 {
 			// The prefill's token was the whole output.
 			d.finishMS = d.job.firstToken
-			di.kv.Alloc(d.job.req.ID, 0)
+			di.kv.Alloc(d.job.idx, 0)
 			di.finish(now, d)
 			continue
 		}
@@ -285,7 +283,7 @@ func (di *decodeInstance) step(now float64) {
 	admitted := di.waiting[:0]
 	for _, d := range di.waiting {
 		if (di.gpu.MaxBatch == 0 || len(di.running) < di.gpu.MaxBatch) &&
-			di.kv.Alloc(d.job.req.ID, d.job.req.PromptTokens+d.job.req.OutputTokens) {
+			di.kv.Alloc(d.job.idx, d.job.req.PromptTokens+d.job.req.OutputTokens) {
 			if di.trace != nil {
 				di.trace.End(now, d.phase)
 				d.phase = di.trace.Begin(now, reqTrack(d.job.req), obs.CatRequest, "decode", d.job.root)
@@ -326,7 +324,10 @@ func (di *decodeInstance) endIter(now float64) {
 
 // decodeJob is a prefilled sequence in flight to the decode pool.
 type decodeJob struct {
-	req        workload.Request
+	req workload.Request
+	// idx is the request's index in the arrival-ordered trace: its KV
+	// handle on the decode pool.
+	idx        int
 	firstToken float64
 	readyMS    float64
 	// root and transfer are the request's lifecycle spans when tracing

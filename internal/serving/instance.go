@@ -46,7 +46,8 @@ type instance struct {
 	// router reads it on every routing decision, so recomputing it by
 	// scanning the queues is quadratic under backlog; instead every
 	// ownership change and every seqLoad-relevant field mutation adjusts
-	// it in place. queueLoadScan is the reference implementation.
+	// it in place. queueLoadScan (a test helper) is the reference
+	// implementation.
 	load int
 
 	// busy is true while an iteration-end event is scheduled.
@@ -66,13 +67,20 @@ type instance struct {
 	pendPrefill                   *seqState
 	pendCompleting                bool
 
+	// kvFree recycles the instance's KV handles and kvNext is the next
+	// unused one. Handles are dense per instance, so an allocator's
+	// handle table spans the sequences this instance holds at once, not
+	// every live sequence of the run.
+	kvFree []int
+	kvNext int
+
 	preemptions int
 
 	// rec, when non-nil, is the routed cluster's shared crash-recovery
-	// state (host-side checkpoint store + accounting, ckpt.go); the
-	// cluster installs it after construction, so standalone runs keep
-	// nil and change nothing. sinceCkpt counts mixed iterations since
-	// the last checkpoint capture.
+	// policy and accounting (ckpt.go); the cluster installs it after
+	// construction, so standalone runs keep nil and change nothing.
+	// sinceCkpt counts mixed iterations since the last checkpoint
+	// capture.
 	rec       *recovery
 	sinceCkpt int
 
@@ -138,23 +146,6 @@ func seqLoad(s *seqState) int {
 // It is O(1): the load field tracks the queueLoadScan sum exactly.
 func (in *instance) queueLoad() int { return in.load }
 
-// queueLoadScan recomputes queueLoad from scratch. It exists as the
-// reference the incremental counter is tested against; the hot path
-// never calls it.
-func (in *instance) queueLoadScan() int {
-	load := 0
-	for i := 0; i < in.waiting.Len(); i++ {
-		load += seqLoad(in.waiting.At(i))
-	}
-	for i := 0; i < in.prefillQ.Len(); i++ {
-		load += seqLoad(in.prefillQ.At(i))
-	}
-	for _, s := range in.running {
-		load += seqLoad(s)
-	}
-	return load
-}
-
 // queueDepth is the router's congestion signal: sequences owned.
 func (in *instance) queueDepth() int { return in.waiting.Len() + in.active() }
 
@@ -188,6 +179,28 @@ func (in *instance) onKick(t float64, epoch uint64) {
 	in.step(t)
 }
 
+// kvAlloc reserves KV for s under a free handle, reporting false (and
+// keeping the handle free) when the reservation does not fit.
+func (in *instance) kvAlloc(s *seqState, tokens int) bool {
+	if len(in.kvFree) == 0 {
+		in.kvFree = append(in.kvFree, in.kvNext)
+		in.kvNext++
+	}
+	h := in.kvFree[len(in.kvFree)-1]
+	if !in.kv.Alloc(h, tokens) {
+		return false
+	}
+	in.kvFree = in.kvFree[:len(in.kvFree)-1]
+	s.kvh = h
+	return true
+}
+
+// kvRelease frees every block s holds and recycles its handle.
+func (in *instance) kvRelease(s *seqState) {
+	in.kv.Free(s.kvh)
+	in.kvFree = append(in.kvFree, s.kvh)
+}
+
 // admit mirrors the historical admission rule: cache lookups happen on
 // first admission only, OnDemand reserves behind the watermark, the
 // default reserves the oracle footprint.
@@ -214,7 +227,7 @@ func (in *instance) admit(now float64, s *seqState) bool {
 		cover := s.saved
 		restore := 0
 		if in.rec != nil {
-			if ctx := in.rec.covered(s.req.ID); ctx > 0 {
+			if ctx := s.ckpt; ctx > 0 {
 				if ctx > total {
 					ctx = total
 				}
@@ -245,7 +258,7 @@ func (in *instance) admit(now float64, s *seqState) bool {
 		if float64(in.kv.UsedBlocks()) >= admissionWatermark*float64(in.kv.Capacity()) {
 			return false
 		}
-		if !in.kv.Alloc(s.req.ID, s.prefillLeft+s.generated) {
+		if !in.kvAlloc(s, s.prefillLeft+s.generated) {
 			return false
 		}
 	} else {
@@ -256,7 +269,7 @@ func (in *instance) admit(now float64, s *seqState) bool {
 			// recompute: reserve what will actually be materialized.
 			need = s.prefillLeft + s.req.OutputTokens - s.generated
 		}
-		if !in.kv.Alloc(s.req.ID, need) {
+		if !in.kvAlloc(s, need) {
 			return false
 		}
 	}
@@ -283,7 +296,7 @@ func (in *instance) admit(now float64, s *seqState) bool {
 // at the head of the waiting queue; a later prefill recomputes its
 // prompt plus everything it had generated.
 func (in *instance) preempt(now float64, v *seqState) {
-	in.kv.Free(v.req.ID)
+	in.kvRelease(v)
 	before := seqLoad(v)
 	v.preempted = true
 	v.prefillLeft = v.req.PromptTokens - v.saved + v.generated
@@ -297,8 +310,7 @@ func (in *instance) preempt(now float64, v *seqState) {
 }
 
 func (in *instance) finish(now float64, s *seqState) {
-	in.kv.Free(s.req.ID)
-	in.rec.drop(s.req.ID) // reclaim any host-side checkpoint (nil-safe)
+	in.kvRelease(s)
 	if in.opts.SessionCache != nil && s.req.Session != "" {
 		in.opts.SessionCache.Store(now, s.req.Session, s.req.PromptTokens+s.req.OutputTokens)
 	}
@@ -306,7 +318,7 @@ func (in *instance) finish(now float64, s *seqState) {
 	r.Instance = in.id
 	in.traceFinish(now, s)
 	in.onFinish(now, r)
-	in.pool.put(s) // nothing references s past its Result
+	in.pool.put(s) // nothing references s past its Result; drops its checkpoint
 }
 
 // step runs at an iteration boundary: admit FCFS, then start the next
@@ -374,7 +386,7 @@ func (in *instance) step(now float64) {
 			in.sinceCkpt = 0
 			delta := 0
 			for _, rs := range in.running {
-				delta += in.rec.save(rs.req.ID, rs.req.PromptTokens+rs.generated)
+				delta += in.rec.save(rs, rs.req.PromptTokens+rs.generated)
 			}
 			if delta > 0 {
 				ckptMS = float64(delta) * in.rec.cfg.ckptMSPerToken()
@@ -498,7 +510,7 @@ func (in *instance) endMixed(now float64, completing bool) {
 		in.load += seqLoad(s) - before
 		if in.opts.OnDemand {
 			ok := true
-			for !in.kv.Extend(s.req.ID, s.req.PromptTokens-s.saved+s.generated) {
+			for !in.kv.Extend(s.kvh, s.req.PromptTokens-s.saved+s.generated) {
 				// Victim: the most recently admitted running sequence
 				// that is not s and not already preempted.
 				var victim *seqState
@@ -564,7 +576,7 @@ func (in *instance) crash(now float64) {
 	dropped := make([]*seqState, 0, in.prefillQ.Len()+len(in.running)+in.waiting.Len())
 	for i := 0; i < in.prefillQ.Len(); i++ {
 		s := in.prefillQ.At(i)
-		in.kv.Free(s.req.ID)
+		in.kvRelease(s)
 		// Admitted sequences held device state the crash destroyed; mark
 		// them so the next admission samples recovery latency and wasted
 		// recompute. Waiting sequences held nothing, so they reroute
@@ -573,7 +585,7 @@ func (in *instance) crash(now float64) {
 		dropped = append(dropped, s)
 	}
 	for _, s := range in.running {
-		in.kv.Free(s.req.ID)
+		in.kvRelease(s)
 		s.crashDropped, s.droppedAtMS = true, now
 		dropped = append(dropped, s)
 	}
@@ -632,12 +644,13 @@ func (in *instance) setSlowdown(factor float64) {
 	in.slow = factor
 }
 
-// scheduleArrivals schedules one engine event per request, in stable
+// scheduleArrivals streams one engine event per request, in stable
 // arrival order, delivering each to inst: requests whose footprint can
 // never fit are rejected at arrival, mirroring the historical loop's
 // ingest check. reqs must already be sorted by ArrivalMS (stable). One
-// shared ArgHandler carries the request index, so scheduling n arrivals
-// costs one closure, not n.
+// shared ArgHandler carries the request index, and the stream queues
+// one arrival at a time, so n arrivals cost neither n closures nor n
+// queued events.
 func scheduleArrivals(eng *sim.Engine, gpu GPUConfig, reqs []workload.Request, inst *instance, pool *seqPool, reject func(Result)) {
 	capacityTokens := inst.kv.Capacity() * gpu.BlockSize
 	deliver := func(now float64, i uint64) {
@@ -650,7 +663,5 @@ func scheduleArrivals(eng *sim.Engine, gpu GPUConfig, reqs []workload.Request, i
 		}
 		inst.arrive(now, pool.get(r))
 	}
-	for i := range reqs {
-		eng.AtArg(reqs[i].ArrivalMS, deliver, uint64(i))
-	}
+	eng.Stream(len(reqs), func(i int) float64 { return reqs[i].ArrivalMS }, deliver)
 }

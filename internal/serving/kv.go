@@ -1,20 +1,23 @@
 package serving
 
-import (
-	"fmt"
-)
-
 // KVManager tracks KV cache block allocation for in-flight sequences.
 // Implementations differ in *how much* they reserve — the E13 subject.
+//
+// A sequence is named by an int handle: a small, dense, non-negative
+// index the caller keeps unique among the sequences it holds (a serving
+// instance recycles its own), so managers index a slice instead of
+// hashing a string. A handle is free again once Freed.
 type KVManager interface {
 	// Alloc reserves space for a new sequence currently holding tokens.
-	// It reports false when the reservation does not fit.
-	Alloc(id string, tokens int) bool
-	// Extend grows the sequence to newTotal tokens, reporting false on
-	// exhaustion (paged) — contiguous never fails within MaxSeqLen.
-	Extend(id string, newTotal int) bool
-	// Free releases the sequence.
-	Free(id string)
+	// It reports false when the reservation does not fit or h already
+	// holds a reservation.
+	Alloc(h int, tokens int) bool
+	// Extend grows sequence h to newTotal tokens, reporting false on
+	// exhaustion (paged) or when h holds nothing — contiguous never
+	// fails within MaxSeqLen.
+	Extend(h int, newTotal int) bool
+	// Free releases sequence h (a no-op when h holds nothing).
+	Free(h int)
 	// UsedBlocks and PeakBlocks report current and high-water occupancy.
 	UsedBlocks() int
 	PeakBlocks() int
@@ -24,6 +27,14 @@ type KVManager interface {
 	Name() string
 }
 
+// covering returns s grown with zero values until s[h] exists.
+func covering[T any](s []T, h int) []T {
+	if h < len(s) {
+		return s
+	}
+	return append(s, make([]T, h+1-len(s))...)
+}
+
 // ContiguousKV models the pre-vLLM allocator: every admitted sequence
 // reserves blocks for the maximum sequence length up front, "wasting a
 // significant amount of memory for shorter inputs".
@@ -31,27 +42,32 @@ type ContiguousKV struct {
 	cfg        GPUConfig
 	perSeq     int
 	used, peak int
-	owners     map[string]bool
+	owners     []bool // owners[h]: handle h holds a reservation
 }
 
 // NewContiguousKV builds the preallocating manager.
 func NewContiguousKV(cfg GPUConfig) *ContiguousKV {
 	perSeq := (cfg.MaxSeqLen + cfg.BlockSize - 1) / cfg.BlockSize
-	return &ContiguousKV{cfg: cfg, perSeq: perSeq, owners: make(map[string]bool)}
+	return &ContiguousKV{cfg: cfg, perSeq: perSeq}
+}
+
+func (c *ContiguousKV) owns(h int) bool {
+	return h >= 0 && h < len(c.owners) && c.owners[h]
 }
 
 // Name implements KVManager.
 func (c *ContiguousKV) Name() string { return "contiguous" }
 
 // Alloc implements KVManager.
-func (c *ContiguousKV) Alloc(id string, tokens int) bool {
-	if c.owners[id] || tokens > c.cfg.MaxSeqLen {
+func (c *ContiguousKV) Alloc(h int, tokens int) bool {
+	if h < 0 || c.owns(h) || tokens > c.cfg.MaxSeqLen {
 		return false
 	}
 	if c.used+c.perSeq > c.cfg.KVBlocks {
 		return false
 	}
-	c.owners[id] = true
+	c.owners = covering(c.owners, h)
+	c.owners[h] = true
 	c.used += c.perSeq
 	if c.used > c.peak {
 		c.peak = c.used
@@ -60,14 +76,14 @@ func (c *ContiguousKV) Alloc(id string, tokens int) bool {
 }
 
 // Extend implements KVManager: preallocation means growth is free.
-func (c *ContiguousKV) Extend(id string, newTotal int) bool {
-	return c.owners[id] && newTotal <= c.cfg.MaxSeqLen
+func (c *ContiguousKV) Extend(h int, newTotal int) bool {
+	return c.owns(h) && newTotal <= c.cfg.MaxSeqLen
 }
 
 // Free implements KVManager.
-func (c *ContiguousKV) Free(id string) {
-	if c.owners[id] {
-		delete(c.owners, id)
+func (c *ContiguousKV) Free(h int) {
+	if c.owns(h) {
+		c.owners[h] = false
 		c.used -= c.perSeq
 	}
 }
@@ -86,12 +102,21 @@ func (c *ContiguousKV) Capacity() int { return c.cfg.KVBlocks }
 type PagedKV struct {
 	cfg        GPUConfig
 	used, peak int
-	seqs       map[string]int // id -> blocks held
+	held       []int // held[h]: 1 + blocks handle h holds, 0 when none
 }
 
 // NewPagedKV builds the paged manager.
 func NewPagedKV(cfg GPUConfig) *PagedKV {
-	return &PagedKV{cfg: cfg, seqs: make(map[string]int)}
+	return &PagedKV{cfg: cfg}
+}
+
+// blocks reports the blocks handle h holds and whether it holds a
+// reservation at all (which may be of zero blocks).
+func (p *PagedKV) blocks(h int) (int, bool) {
+	if h < 0 || h >= len(p.held) || p.held[h] == 0 {
+		return 0, false
+	}
+	return p.held[h] - 1, true
 }
 
 // Name implements KVManager.
@@ -105,15 +130,16 @@ func (p *PagedKV) blocksFor(tokens int) int {
 }
 
 // Alloc implements KVManager.
-func (p *PagedKV) Alloc(id string, tokens int) bool {
-	if _, ok := p.seqs[id]; ok || tokens > p.cfg.MaxSeqLen {
+func (p *PagedKV) Alloc(h int, tokens int) bool {
+	if _, held := p.blocks(h); h < 0 || held || tokens > p.cfg.MaxSeqLen {
 		return false
 	}
 	need := p.blocksFor(tokens)
 	if p.used+need > p.cfg.KVBlocks {
 		return false
 	}
-	p.seqs[id] = need
+	p.held = covering(p.held, h)
+	p.held[h] = need + 1
 	p.used += need
 	if p.used > p.peak {
 		p.peak = p.used
@@ -122,8 +148,8 @@ func (p *PagedKV) Alloc(id string, tokens int) bool {
 }
 
 // Extend implements KVManager.
-func (p *PagedKV) Extend(id string, newTotal int) bool {
-	have, ok := p.seqs[id]
+func (p *PagedKV) Extend(h int, newTotal int) bool {
+	have, ok := p.blocks(h)
 	if !ok || newTotal > p.cfg.MaxSeqLen {
 		return false
 	}
@@ -135,7 +161,7 @@ func (p *PagedKV) Extend(id string, newTotal int) bool {
 	if p.used+delta > p.cfg.KVBlocks {
 		return false
 	}
-	p.seqs[id] = need
+	p.held[h] = need + 1
 	p.used += delta
 	if p.used > p.peak {
 		p.peak = p.used
@@ -144,9 +170,9 @@ func (p *PagedKV) Extend(id string, newTotal int) bool {
 }
 
 // Free implements KVManager.
-func (p *PagedKV) Free(id string) {
-	if n, ok := p.seqs[id]; ok {
-		delete(p.seqs, id)
+func (p *PagedKV) Free(h int) {
+	if n, ok := p.blocks(h); ok {
+		p.held[h] = 0
 		p.used -= n
 	}
 }
@@ -343,17 +369,14 @@ func (pc *PrefixCache) Invalidate() {
 // MaxConcurrent reports how many sequences of the given prompt+output
 // length the manager could hold at once — the E13 concurrency headroom
 // comparison.
+// Probe i holds handle i.
 func MaxConcurrent(m KVManager, promptTokens, outputTokens int) int {
 	n := 0
-	for {
-		id := fmt.Sprintf("probe-%d", n)
-		if !m.Alloc(id, promptTokens+outputTokens) {
-			break
-		}
+	for m.Alloc(n, promptTokens+outputTokens) {
 		n++
 	}
 	for i := 0; i < n; i++ {
-		m.Free(fmt.Sprintf("probe-%d", i))
+		m.Free(i)
 	}
 	return n
 }

@@ -119,11 +119,11 @@ func (c *cluster) migrate(now float64, from, to int, v *seqState) {
 		return
 	}
 	d.load -= seqLoad(v)
-	d.kv.Free(v.req.ID)
+	d.kvRelease(v)
 	ctx := v.req.PromptTokens + v.generated
 	// Ship the checkpoint delta (context not yet on the host) plus the
 	// full context over the interconnect.
-	delta := c.rec.save(v.req.ID, ctx)
+	delta := c.rec.save(v, ctx)
 	shipMS := float64(ctx)*c.rec.cfg.migrateMSPerToken() + float64(delta)*c.rec.cfg.ckptMSPerToken()
 	v.admitted = false
 	v.preempted = false

@@ -20,11 +20,28 @@ func recoveryArms() map[string]RecoveryConfig {
 	}
 }
 
+// queueLoadScan recomputes an instance's queueLoad from scratch: the
+// reference the incremental load counter is tested against.
+func (in *instance) queueLoadScan() int {
+	load := 0
+	for i := 0; i < in.waiting.Len(); i++ {
+		load += seqLoad(in.waiting.At(i))
+	}
+	for i := 0; i < in.prefillQ.Len(); i++ {
+		load += seqLoad(in.prefillQ.At(i))
+	}
+	for _, s := range in.running {
+		load += seqLoad(s)
+	}
+	return load
+}
+
 // TestPostDrainInvariants is the leak check behind every fault plan:
-// once a routed run returns, no instance may still hold KV blocks, the
-// sequence pool must have every seqState back (outstanding == 0), and
-// the checkpoint store must be empty — finished and drain-rejected
-// sequences both drop their checkpoints.
+// once a routed run returns, no instance may still hold KV blocks or
+// KV handles, the sequence pool must have every seqState back
+// (outstanding == 0), and every pooled seqState must be zero — finished
+// and drain-rejected sequences both drop their checkpoints, span refs
+// and progress on the way back.
 func TestPostDrainInvariants(t *testing.T) {
 	reqs := prefixTrace(t, 83)
 	plans := map[string]*FaultPlan{
@@ -47,6 +64,9 @@ func TestPostDrainInvariants(t *testing.T) {
 				if used := in.kv.UsedBlocks(); used != 0 {
 					t.Errorf("%s/%s: instance %d still holds %d KV blocks after drain", planName, armName, i, used)
 				}
+				if len(in.kvFree) != in.kvNext {
+					t.Errorf("%s/%s: instance %d has %d of %d KV handles free after drain", planName, armName, i, len(in.kvFree), in.kvNext)
+				}
 				if in.load != 0 || in.queueLoadScan() != 0 {
 					t.Errorf("%s/%s: instance %d load counter %d (scan %d) after drain, want 0",
 						planName, armName, i, in.load, in.queueLoadScan())
@@ -55,8 +75,11 @@ func TestPostDrainInvariants(t *testing.T) {
 			if c.pool.outstanding != 0 {
 				t.Errorf("%s/%s: %d sequences never returned to the pool", planName, armName, c.pool.outstanding)
 			}
-			if len(c.rec.ctx) != 0 {
-				t.Errorf("%s/%s: %d checkpoints leaked past drain", planName, armName, len(c.rec.ctx))
+			for _, s := range c.pool.free {
+				if *s != (seqState{}) {
+					t.Errorf("%s/%s: pooled sequence kept state (checkpoint %d): %+v", planName, armName, s.ckpt, *s)
+					break
+				}
 			}
 		}
 	}
@@ -84,35 +107,41 @@ func TestRecoveryZeroConfigMatchesFaults(t *testing.T) {
 
 func TestCheckpointStore(t *testing.T) {
 	r := newRecovery(RecoveryConfig{CkptEveryIters: 4})
-	if got := r.covered("a"); got != 0 {
-		t.Fatalf("covered on empty store = %d", got)
+	var pool seqPool
+	s := pool.get(workload.Request{ID: "a"})
+	if s.ckpt != 0 {
+		t.Fatalf("covered on a fresh sequence = %d", s.ckpt)
 	}
-	if delta := r.save("a", 100); delta != 100 {
+	if delta := r.save(s, 100); delta != 100 {
 		t.Fatalf("first save delta = %d, want 100", delta)
 	}
-	if delta := r.save("a", 140); delta != 40 {
+	if delta := r.save(s, 140); delta != 40 {
 		t.Fatalf("incremental save delta = %d, want 40", delta)
 	}
 	// A save that covers nothing new writes nothing.
-	if delta := r.save("a", 140); delta != 0 {
+	if delta := r.save(s, 140); delta != 0 {
 		t.Fatalf("no-progress save delta = %d, want 0", delta)
 	}
-	if got := r.covered("a"); got != 140 {
-		t.Fatalf("covered = %d, want 140", got)
+	if s.ckpt != 140 {
+		t.Fatalf("covered = %d, want 140", s.ckpt)
 	}
 	if r.writes != 2 || r.writeTokens != 140 {
 		t.Fatalf("writes=%d writeTokens=%d, want 2 and 140", r.writes, r.writeTokens)
 	}
-	r.drop("a")
-	if got := r.covered("a"); got != 0 {
-		t.Fatalf("covered after drop = %d", got)
+	// A second live sequence with the same request ID has its own
+	// checkpoint.
+	twin := pool.get(workload.Request{ID: "a"})
+	if twin.ckpt != 0 {
+		t.Fatalf("same-ID sequence sees checkpoint %d", twin.ckpt)
 	}
-	// nil store (disabled policy) is inert and nil-safe.
-	var nilRec *recovery
-	if nilRec.covered("x") != 0 {
-		t.Error("nil recovery claims coverage")
+	if delta := r.save(twin, 60); delta != 60 || s.ckpt != 140 {
+		t.Fatalf("same-ID save delta = %d (first sequence at %d), want 60 and 140", delta, s.ckpt)
 	}
-	nilRec.drop("x")
+	// Returning the sequence to the pool drops its checkpoint.
+	pool.put(s)
+	if s.ckpt != 0 {
+		t.Fatalf("covered after put = %d", s.ckpt)
+	}
 }
 
 // TestCheckpointCutsWastedRecompute is the tentpole's core mechanism in

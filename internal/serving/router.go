@@ -112,25 +112,25 @@ func (t *talliedKV) settle(before int) {
 }
 
 // Alloc implements KVManager.
-func (t *talliedKV) Alloc(id string, tokens int) bool {
+func (t *talliedKV) Alloc(h int, tokens int) bool {
 	before := t.KVManager.UsedBlocks()
-	ok := t.KVManager.Alloc(id, tokens)
+	ok := t.KVManager.Alloc(h, tokens)
 	t.settle(before)
 	return ok
 }
 
 // Extend implements KVManager.
-func (t *talliedKV) Extend(id string, newTotal int) bool {
+func (t *talliedKV) Extend(h int, newTotal int) bool {
 	before := t.KVManager.UsedBlocks()
-	ok := t.KVManager.Extend(id, newTotal)
+	ok := t.KVManager.Extend(h, newTotal)
 	t.settle(before)
 	return ok
 }
 
 // Free implements KVManager.
-func (t *talliedKV) Free(id string) {
+func (t *talliedKV) Free(h int) {
 	before := t.KVManager.UsedBlocks()
-	t.KVManager.Free(id)
+	t.KVManager.Free(h)
 	t.settle(before)
 }
 
@@ -169,9 +169,8 @@ type cluster struct {
 	results    []Result
 	pool       seqPool
 
-	// rec is the run's crash-recovery state (checkpoint store +
-	// accounting); always non-nil for routed runs, inert when the
-	// RecoveryConfig is zero.
+	// rec is the run's crash-recovery policy and accounting; always
+	// non-nil for routed runs, inert when the RecoveryConfig is zero.
 	rec *recovery
 
 	// adm is the run's per-tenant admission controller; nil when the
@@ -239,24 +238,6 @@ func (c *cluster) affinity(r workload.Request) int {
 		return int(token.Hash64(r.Session) % uint64(n))
 	}
 	return -1
-}
-
-// leastLoaded returns the instance with the smallest live outstanding
-// token load, skipping exclude (ties break to the lowest index). The
-// live router now picks through the scored path (scoreInstances);
-// this direct argmin survives as the reference the scored CacheAware
-// fallback is differentially tested against.
-func (c *cluster) leastLoaded(exclude int) int {
-	best := -1
-	for i, in := range c.insts {
-		if i == exclude && len(c.insts) > 1 {
-			continue
-		}
-		if best < 0 || in.queueLoad() < c.insts[best].queueLoad() {
-			best = i
-		}
-	}
-	return best
 }
 
 // route picks the instance for a request arriving now. exclude is the
@@ -497,8 +478,7 @@ func runRoutedCluster(gpu GPUConfig, reqs []workload.Request, n int, policy Rout
 	if n < 1 {
 		return nil, nil, fmt.Errorf("%w: instances %d", ErrConfig, n)
 	}
-	ordered := append([]workload.Request(nil), reqs...)
-	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].ArrivalMS < ordered[j].ArrivalMS })
+	ordered := arrivalOrder(reqs)
 
 	hasSessions := false
 	for _, r := range ordered {
@@ -514,6 +494,7 @@ func runRoutedCluster(gpu GPUConfig, reqs []workload.Request, n int, policy Rout
 		prefixes: make([]*PrefixCache, n),
 		breakers: make([]*resilient.Breaker, n),
 		pending:  len(ordered),
+		results:  make([]Result, 0, len(ordered)), // every request resolves once
 		trace:    opts.Trace,
 		rec:      newRecovery(rec),
 		scores:   make([]candScore, n),
@@ -587,7 +568,8 @@ func runRoutedCluster(gpu GPUConfig, reqs []workload.Request, n int, policy Rout
 
 	// One shared ArgHandler delivers every arrival; the event argument is
 	// the request's index in the ordered trace, so scheduling n arrivals
-	// allocates one closure instead of n.
+	// allocates one closure instead of n, and the engine streams them,
+	// keeping one queued at a time.
 	capacityTokens := gpu.KVBlocks * gpu.BlockSize
 	// deliverHeld lands a request the admission controller reserved a
 	// refill window for; deliver runs first, at the arrival instant.
@@ -626,9 +608,7 @@ func runRoutedCluster(gpu GPUConfig, reqs []workload.Request, n int, policy Rout
 		c.insts[g].arrive(now, s)
 		c.traceDecision(s, g)
 	}
-	for i := range ordered {
-		c.eng.AtArg(ordered[i].ArrivalMS, deliver, uint64(i))
-	}
+	c.eng.Stream(len(ordered), func(i int) float64 { return ordered[i].ArrivalMS }, deliver)
 
 	if plan != nil {
 		var windowAt func(w int)
@@ -694,13 +674,12 @@ func runRoutedCluster(gpu GPUConfig, reqs []workload.Request, n int, policy Rout
 	for i, in := range c.insts {
 		for in.waiting.Len() > 0 {
 			// Never admittable: report rejected, reclaim the state —
-			// Result copies the request, so pooling is safe — and drop
-			// any host-side checkpoint the sequence left behind.
+			// Result copies the request, so pooling is safe, and the
+			// pool drops any checkpoint the sequence left behind.
 			s := in.waiting.PopFront()
 			in.load -= seqLoad(s)
 			in.traceReject(c.eng.Now(), s)
 			c.results = append(c.results, Result{Req: s.req, Rejected: true})
-			c.rec.drop(s.req.ID)
 			c.pool.put(s)
 		}
 		h, m := c.prefixes[i].Stats()

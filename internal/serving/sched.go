@@ -12,6 +12,17 @@ import (
 // seqState tracks one request through the simulator.
 type seqState struct {
 	req workload.Request
+	// kvh is the handle the sequence's KV blocks are held under on its
+	// instance, from a successful admission until preemption, finish,
+	// crash or migration frees them. Handles are dense per instance
+	// (instance.kvAlloc) and never derived from the request ID, so two
+	// live requests sharing an ID never share state.
+	kvh int
+	// ckpt is the context tokens (prompt + generated at capture time)
+	// covered by the sequence's newest host-side checkpoint, 0 when none.
+	// The sequence is the router's object and survives the crash that
+	// kills an instance's state, so the checkpoint survives with it.
+	ckpt int
 	// prefillLeft is the number of prompt tokens still to prefill.
 	prefillLeft int
 	// prefilled is the number actually prefilled (after cache savings).
@@ -54,6 +65,22 @@ func (s *seqState) result() Result {
 	return r
 }
 
+// arrivalOrder returns reqs stably sorted by ArrivalMS. A trace already
+// in that order — every generated one — comes back as is: a stable sort
+// would not move it, and the runs only read it. Otherwise the sort
+// works on a copy, leaving the caller's slice untouched.
+func arrivalOrder(reqs []workload.Request) []workload.Request {
+	for i := 1; i < len(reqs); i++ {
+		// <= is false for a NaN, so such a trace takes the sort.
+		if !(reqs[i-1].ArrivalMS <= reqs[i].ArrivalMS) {
+			ordered := append([]workload.Request(nil), reqs...)
+			sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].ArrivalMS < ordered[j].ArrivalMS })
+			return ordered
+		}
+	}
+	return reqs
+}
+
 // RunStatic serves the trace with static batching: requests are grouped
 // in arrival order into batches of batchSize; each batch is prefilled
 // then decoded to the *longest* member's completion before the next
@@ -71,8 +98,7 @@ func RunStatic(gpu GPUConfig, reqs []workload.Request, batchSize int) (*Report, 
 	if batchSize > maxBatch && maxBatch > 0 {
 		batchSize = maxBatch
 	}
-	ordered := append([]workload.Request(nil), reqs...)
-	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].ArrivalMS < ordered[j].ArrivalMS })
+	ordered := arrivalOrder(reqs)
 
 	var results []Result
 	clock := 0.0
@@ -86,8 +112,9 @@ func RunStatic(gpu GPUConfig, reqs []workload.Request, batchSize int) (*Report, 
 			if r.ArrivalMS > clock {
 				clock = r.ArrivalMS // batch forms when its members arrived
 			}
+			// A sequence's KV handle is its index in the batch.
 			s := &seqState{req: r, prefillLeft: r.PromptTokens}
-			kv.Alloc(r.ID, r.PromptTokens+r.OutputTokens)
+			kv.Alloc(len(batch), r.PromptTokens+r.OutputTokens)
 			batch = append(batch, s)
 		}
 		// Sequential prefill; each member's first token arrives at the
@@ -117,8 +144,8 @@ func RunStatic(gpu GPUConfig, reqs []workload.Request, batchSize int) (*Report, 
 				}
 			}
 		}
-		for _, s := range batch {
-			kv.Free(s.req.ID)
+		for j, s := range batch {
+			kv.Free(j)
 			results = append(results, s.result())
 		}
 	}
@@ -200,12 +227,11 @@ func RunContinuous(gpu GPUConfig, reqs []workload.Request, opts ContinuousOpts) 
 	if opts.ChunkTokens < 0 {
 		return nil, fmt.Errorf("%w: chunk tokens %d", ErrConfig, opts.ChunkTokens)
 	}
-	ordered := append([]workload.Request(nil), reqs...)
-	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].ArrivalMS < ordered[j].ArrivalMS })
+	ordered := arrivalOrder(reqs)
 
 	eng := sim.NewEngine()
 	pool := &seqPool{}
-	var results []Result
+	results := make([]Result, 0, len(ordered)) // every request resolves once
 	inst := newInstance(0, gpu, opts, eng, pool, func(_ float64, r Result) { results = append(results, r) })
 	scheduleArrivals(eng, gpu, ordered, inst, pool, func(r Result) { results = append(results, r) })
 	eng.Run()

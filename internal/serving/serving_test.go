@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"dataai/internal/sim"
 	"dataai/internal/workload"
 )
 
@@ -154,44 +155,114 @@ func TestPagedThroughputBeatsContiguous(t *testing.T) {
 func TestKVManagerAccounting(t *testing.T) {
 	gpu := DefaultGPU()
 	for _, m := range []KVManager{NewContiguousKV(gpu), NewPagedKV(gpu)} {
-		if !m.Alloc("a", 100) {
+		if !m.Alloc(3, 100) {
 			t.Fatalf("%s: first alloc failed", m.Name())
 		}
-		if m.Alloc("a", 100) {
+		if m.Alloc(3, 100) {
 			t.Fatalf("%s: duplicate alloc allowed", m.Name())
 		}
 		used := m.UsedBlocks()
 		if used <= 0 || used > m.Capacity() {
 			t.Fatalf("%s: used %d", m.Name(), used)
 		}
-		if !m.Extend("a", 200) {
+		// Handles never allocated — below the highest one in use and
+		// past it — hold nothing: Extend refuses, Free changes nothing.
+		for _, h := range []int{0, 2, 4, 1000, -1} {
+			if m.Extend(h, 50) {
+				t.Fatalf("%s: extend of unallocated handle %d allowed", m.Name(), h)
+			}
+			m.Free(h)
+			if m.UsedBlocks() != used {
+				t.Fatalf("%s: free of unallocated handle %d changed used to %d", m.Name(), h, m.UsedBlocks())
+			}
+		}
+		if m.Alloc(-1, 1) {
+			t.Fatalf("%s: negative handle allocated", m.Name())
+		}
+		if !m.Extend(3, 200) {
 			t.Fatalf("%s: extend failed", m.Name())
 		}
-		m.Free("a")
+		m.Free(3)
 		if m.UsedBlocks() != 0 {
 			t.Fatalf("%s: leak after free", m.Name())
+		}
+		if m.Extend(3, 200) {
+			t.Fatalf("%s: extend after free allowed", m.Name())
 		}
 		if m.PeakBlocks() < used {
 			t.Fatalf("%s: peak below used", m.Name())
 		}
-		if m.Alloc("big", gpu.MaxSeqLen+1) {
+		if m.Alloc(7, gpu.MaxSeqLen+1) {
 			t.Fatalf("%s: oversized alloc allowed", m.Name())
 		}
+		// A freed handle is reusable.
+		if !m.Alloc(3, 100) || m.UsedBlocks() != used {
+			t.Fatalf("%s: realloc of a freed handle: used %d, want %d", m.Name(), m.UsedBlocks(), used)
+		}
+	}
+}
+
+// TestKVHandlesAreRecycledPerInstance follows an instance's KV handles:
+// two live sequences sharing a request ID hold distinct handles, a
+// failed reservation leaves its handle free, a freed handle serves the
+// next sequence, and a sequence reused after put starts with no
+// checkpoint.
+func TestKVHandlesAreRecycledPerInstance(t *testing.T) {
+	gpu := DefaultGPU()
+	gpu.KVBlocks = 8
+	var pool seqPool
+	in := newInstance(0, gpu, ContinuousOpts{}, sim.NewEngine(), &pool, func(float64, Result) {})
+	a := pool.get(workload.Request{ID: "a", PromptTokens: 40})
+	b := pool.get(workload.Request{ID: "a", PromptTokens: 40})
+	if !in.kvAlloc(a, 40) || !in.kvAlloc(b, 40) {
+		t.Fatal("same-ID sequences could not both reserve KV")
+	}
+	if a.kvh == b.kvh {
+		t.Fatalf("two live sequences share KV handle %d", a.kvh)
+	}
+	big := pool.get(workload.Request{ID: "big", PromptTokens: 64})
+	if in.kvAlloc(big, 64) { // 4 blocks, 2 left
+		t.Fatal("reservation beyond capacity allowed")
+	}
+	if len(in.kvFree) != in.kvNext-2 {
+		t.Fatalf("failed reservation kept a handle: %d of %d free, want all but a's and b's", len(in.kvFree), in.kvNext)
+	}
+	a.ckpt, a.generated = 40, 3
+	freed := a.kvh
+	in.kvRelease(a)
+	pool.put(a)
+	if *a != (seqState{}) {
+		t.Fatalf("put left state behind: %+v", *a)
+	}
+	c := pool.get(workload.Request{ID: "c", PromptTokens: 16})
+	if c != a || c.ckpt != 0 || c.generated != 0 {
+		t.Fatalf("reused sequence inherited state: ckpt %d generated %d", c.ckpt, c.generated)
+	}
+	if !in.kvAlloc(c, 16) || c.kvh != freed {
+		t.Fatalf("next reservation took handle %d, want the freed %d", c.kvh, freed)
+	}
+	if got := in.kv.UsedBlocks(); got != 4 { // 3 blocks for b, 1 for c
+		t.Fatalf("used = %d, want 4", got)
+	}
+	in.kvRelease(b)
+	in.kvRelease(c)
+	if in.kv.UsedBlocks() != 0 || len(in.kvFree) != in.kvNext {
+		t.Fatalf("after release: used %d, %d of %d handles free", in.kv.UsedBlocks(), len(in.kvFree), in.kvNext)
 	}
 }
 
 func TestPagedKVExactBlocks(t *testing.T) {
 	gpu := DefaultGPU() // BlockSize 16
 	p := NewPagedKV(gpu)
-	p.Alloc("a", 17) // 2 blocks
+	p.Alloc(0, 17) // 2 blocks
 	if p.UsedBlocks() != 2 {
 		t.Errorf("used = %d, want 2", p.UsedBlocks())
 	}
-	p.Extend("a", 32) // still 2 blocks
+	p.Extend(0, 32) // still 2 blocks
 	if p.UsedBlocks() != 2 {
 		t.Errorf("used after extend = %d, want 2", p.UsedBlocks())
 	}
-	p.Extend("a", 33) // 3 blocks
+	p.Extend(0, 33) // 3 blocks
 	if p.UsedBlocks() != 3 {
 		t.Errorf("used after extend = %d, want 3", p.UsedBlocks())
 	}
@@ -201,13 +272,13 @@ func TestPagedKVExhaustion(t *testing.T) {
 	gpu := DefaultGPU()
 	gpu.KVBlocks = 4
 	p := NewPagedKV(gpu)
-	if !p.Alloc("a", 64) { // 4 blocks
+	if !p.Alloc(0, 64) { // 4 blocks
 		t.Fatal("alloc failed")
 	}
-	if p.Alloc("b", 1) {
+	if p.Alloc(1, 1) {
 		t.Error("alloc beyond capacity allowed")
 	}
-	if p.Extend("a", 65) {
+	if p.Extend(0, 65) {
 		t.Error("extend beyond capacity allowed")
 	}
 }

@@ -57,22 +57,22 @@ func (g *gaugedKV) sync() {
 }
 
 // Alloc implements KVManager.
-func (g *gaugedKV) Alloc(id string, tokens int) bool {
-	ok := g.KVManager.Alloc(id, tokens)
+func (g *gaugedKV) Alloc(h int, tokens int) bool {
+	ok := g.KVManager.Alloc(h, tokens)
 	g.sync()
 	return ok
 }
 
 // Extend implements KVManager.
-func (g *gaugedKV) Extend(id string, newTotal int) bool {
-	ok := g.KVManager.Extend(id, newTotal)
+func (g *gaugedKV) Extend(h int, newTotal int) bool {
+	ok := g.KVManager.Extend(h, newTotal)
 	g.sync()
 	return ok
 }
 
 // Free implements KVManager.
-func (g *gaugedKV) Free(id string) {
-	g.KVManager.Free(id)
+func (g *gaugedKV) Free(h int) {
+	g.KVManager.Free(h)
 	g.sync()
 }
 

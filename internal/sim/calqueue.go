@@ -28,10 +28,11 @@ import (
 // Cost. For the clustered schedules serving workloads produce (many
 // events per millisecond), push is an append and pop is an index bump:
 // amortized O(1), no per-event allocation once bucket capacity has
-// grown. The heap only sees far-future events (arrival horizons), which
-// enter and leave it once each. Sparse stretches cost one empty-bucket
-// step per calWidth of simulated silence; a fully empty wheel jumps
-// straight to the overflow's next epoch instead of crawling.
+// grown. The heap only sees far-future events, which enter and leave it
+// once each; a trace's arrivals are streamed (Engine.Stream), so it
+// holds at most the next one of them. Sparse stretches cost one
+// empty-bucket step per calWidth of simulated silence; a fully empty
+// wheel jumps straight to the overflow's next epoch instead of crawling.
 const (
 	calBuckets = 1024
 	calMask    = calBuckets - 1

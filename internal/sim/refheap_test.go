@@ -2,6 +2,13 @@ package sim
 
 import "container/heap"
 
+// newHeapEngine returns an engine backed by the seed's container/heap
+// queue. It is the reference implementation the differential tests and
+// the BENCH_sim baseline run against; production callers use NewEngine.
+func newHeapEngine() *Engine {
+	return &Engine{queue: &heapQueue{}}
+}
+
 // heapQueue is the seed engine's event queue: a single container/heap
 // min-heap ordered by (time, seq). It is kept verbatim as the reference
 // implementation — the differential fuzz tests in diff_test.go run every

@@ -18,8 +18,13 @@
 // beyond the horizon. For the clustered-in-time schedules serving
 // workloads produce, push and pop are amortized O(1) instead of the
 // O(log n) of a single binary heap, and neither path allocates in steady
-// state. The seed's container/heap queue is kept as a reference
-// implementation (refheap.go) for differential tests and benchmarks.
+// state. The seed's container/heap queue is kept as a test-only
+// reference implementation (refheap_test.go) for differential tests and
+// benchmarks.
+//
+// A long ordered batch of events — a trace's arrivals — is scheduled
+// with Stream, which reserves the whole batch's sequence numbers but
+// queues one event at a time, so the queue never holds the batch.
 package sim
 
 // Handler is an event callback. now is the event's firing time on the
@@ -75,6 +80,9 @@ type Engine struct {
 	now   float64
 	// fired counts delivered events (visible for tests and reports).
 	fired uint64
+	// unqueued counts stream events whose seq is reserved but which are
+	// not in the queue yet (see Stream).
+	unqueued int
 }
 
 // NewEngine returns an empty engine at time zero, backed by the calendar
@@ -83,19 +91,13 @@ func NewEngine() *Engine {
 	return &Engine{queue: newCalQueue()}
 }
 
-// newHeapEngine returns an engine backed by the seed's container/heap
-// queue. It is the reference implementation the differential tests and
-// the BENCH_sim baseline run against; production callers use NewEngine.
-func newHeapEngine() *Engine {
-	return &Engine{queue: &heapQueue{}}
-}
-
 // Now is the current logical time in milliseconds: the firing time of
 // the event being handled (or of the last one handled).
 func (e *Engine) Now() float64 { return e.now }
 
-// Pending reports how many events are scheduled and not yet fired.
-func (e *Engine) Pending() int { return e.queue.size() }
+// Pending reports how many events are scheduled and not yet fired,
+// counting stream events that are not queued yet.
+func (e *Engine) Pending() int { return e.queue.size() + e.unqueued }
 
 // Fired reports how many events have been delivered.
 func (e *Engine) Fired() uint64 { return e.fired }
@@ -132,6 +134,57 @@ func (e *Engine) AtArg(t float64, fn ArgHandler, arg uint64) {
 // Negative d clamps to zero.
 func (e *Engine) AfterArg(d float64, fn ArgHandler, arg uint64) {
 	e.AtArg(e.now+d, fn, arg)
+}
+
+// Stream schedules n events, event i at time at(i) with argument i,
+// delivering each to fn. For a non-decreasing at it is exactly n AtArg
+// calls in index order — same sequence numbers, same clamping, same
+// (time, seq) firing order, same Pending count — but it queues only the
+// next event: event i+1 is pushed, with its reserved seq, when event i
+// fires, clamped to that instant. So a whole trace's arrivals cost one
+// queued event instead of n, and none of them passes through the
+// overflow heap before its time is near. at is called once per event,
+// in index order, and must not decrease.
+func (e *Engine) Stream(n int, at func(i int) float64, fn ArgHandler) {
+	if n <= 0 {
+		return
+	}
+	st := &stream{e: e, at: at, fn: fn, seq: e.seq, n: n}
+	st.fire = st.onFire
+	e.seq += uint64(n)
+	e.unqueued += n
+	st.push(0)
+}
+
+// stream is one Stream call in flight: its reserved seq block and its
+// handler. The event index travels as the event argument.
+type stream struct {
+	e    *Engine
+	at   func(i int) float64
+	fn   ArgHandler
+	fire ArgHandler // onFire, bound once
+	seq  uint64     // seq reserved for event 0
+	n    int
+}
+
+// push queues event i under its reserved seq.
+func (st *stream) push(i int) {
+	e := st.e
+	t := st.at(i)
+	if t < e.now {
+		t = e.now
+	}
+	e.unqueued--
+	e.queue.push(event{time: t, seq: st.seq + uint64(i), afn: st.fire, arg: uint64(i)})
+}
+
+// onFire queues the successor before delivering, so a handler sees the
+// same Pending count and queue contents as under upfront scheduling.
+func (st *stream) onFire(now float64, arg uint64) {
+	if i := int(arg) + 1; i < st.n {
+		st.push(i)
+	}
+	st.fn(now, arg)
 }
 
 // Run fires events in (time, seq) order until the queue is empty.

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
@@ -31,8 +32,9 @@ func runClustered(e *Engine, procs, perProc int) {
 }
 
 // runSpread schedules every event up front across a wide horizon — the
-// arrival-wave shape (a whole trace's arrivals scheduled before Run), in
-// which most events pass through the overflow heap.
+// arrival-wave shape of a whole trace's arrivals scheduled before Run,
+// in which most events pass through the overflow heap
+// (BenchmarkEngineStream schedules the same wave with Stream).
 func runSpread(e *Engine, n int) {
 	h := ArgHandler(func(now float64, arg uint64) {})
 	for i := 0; i < n; i++ {
@@ -70,6 +72,45 @@ func BenchmarkEngineSpread(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				runSpread(eng.mk(), benchEvents)
+			}
+		})
+	}
+}
+
+// BenchmarkEngineStream is BenchmarkEngineSpread's arrival wave in
+// arrival order — the same 2^20 times, sorted — scheduled the way the
+// serving runs schedule a trace: with one Stream ("stream") against
+// upfront AtArg calls on the same calendar engine ("upfront"). The
+// stream keeps one arrival queued instead of 2^20, so nothing passes
+// through the overflow heap.
+func BenchmarkEngineStream(b *testing.B) {
+	times := make([]float64, benchEvents)
+	for i := range times {
+		times[i] = float64((i * 2654435761) % 100000)
+	}
+	slices.Sort(times)
+	at := func(i int) float64 { return times[i] }
+	h := ArgHandler(func(now float64, arg uint64) {})
+	for _, mode := range []struct {
+		name     string
+		schedule func(e *Engine)
+	}{
+		{"stream", func(e *Engine) { e.Stream(len(times), at, h) }},
+		{"upfront", func(e *Engine) {
+			for i, t := range times {
+				e.AtArg(t, h, uint64(i))
+			}
+		}},
+	} {
+		b.Run(mode.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				e := NewEngine()
+				mode.schedule(e)
+				e.Run()
+				if e.Fired() != benchEvents {
+					b.Fatalf("fired %d events, want %d", e.Fired(), benchEvents)
+				}
 			}
 		})
 	}

@@ -147,6 +147,12 @@ go test -run '^$' -bench=Par -benchtime=1x ./...
 echo "== tracing bench smoke (record, Check and WriteChrome benchmarks run once)"
 go test -run '^$' -bench 'Trace|WriteChrome' -benchtime=1x ./internal/serving
 
+echo "== perfbench smoke (every benchmark workload, traced and untraced, outputs checked)"
+# perfbench is its own module, so the root go test ./... never builds
+# it; its smoke test runs each workload at small scale with every
+# output check the benchmark makes.
+(cd perfbench && go test ./...)
+
 echo "== benchall serial vs parallel (fast subset, byte-identical)"
 # The full-set golden diff runs inside the test suite
 # (cmd/benchall/main_test.go); this end-to-end gate re-checks the built
