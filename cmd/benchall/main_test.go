@@ -2,10 +2,13 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -87,18 +90,20 @@ func TestRunAllUnknownIDFails(t *testing.T) {
 	}
 }
 
-// TestJSONAndTraceSinks runs one cheap experiment with both sinks and
-// checks the files: the JSON mirrors the rendered table cells, and E23's
-// trace is valid JSON (Perfetto-loadable Chrome events).
+// TestJSONAndTraceSinks runs the three traced experiments with both
+// sinks and checks the files: the JSON mirrors the rendered table cells,
+// and each trace is valid JSON (Perfetto-loadable Chrome events) whose
+// bytes match the pinned length and SHA-256.
 func TestJSONAndTraceSinks(t *testing.T) {
 	if testing.Short() {
-		t.Skip("E23 run in -short mode")
+		t.Skip("E23-E25 run in -short mode")
 	}
 	dir := t.TempDir()
 	jsonPath := filepath.Join(dir, "results.json")
 	traceDir := filepath.Join(dir, "traces")
+	ids := []string{"E23", "E24", "E25"}
 	var out, errOut bytes.Buffer
-	if code := runAll([]string{"E23"}, 1, &out, &errOut, jsonPath, traceDir); code != 0 {
+	if code := runAll(ids, 1, &out, &errOut, jsonPath, traceDir); code != 0 {
 		t.Fatalf("exit code %d, stderr: %s", code, errOut.String())
 	}
 
@@ -110,30 +115,61 @@ func TestJSONAndTraceSinks(t *testing.T) {
 	if err := json.Unmarshal(raw, &results); err != nil {
 		t.Fatalf("results.json invalid: %v", err)
 	}
-	if len(results) != 1 || results[0].ID != "E23" || results[0].Failed {
+	if len(results) != len(ids) {
 		t.Fatalf("results = %+v", results)
 	}
-	if len(results[0].Tables) != 2 {
-		t.Fatalf("E23 tables = %d, want main + breakdown", len(results[0].Tables))
-	}
-	// Every JSON cell appears verbatim in the text rendering.
-	for _, cell := range results[0].Tables[0].Rows[0] {
-		if !strings.Contains(out.String(), cell) {
-			t.Errorf("JSON cell %q missing from text output", cell)
+	for i, r := range results {
+		if r.ID != ids[i] || r.Failed {
+			t.Fatalf("result %d = %+v", i, r)
+		}
+		if len(r.Tables) != 2 {
+			t.Fatalf("%s tables = %d, want main + breakdown", r.ID, len(r.Tables))
+		}
+		// Every JSON cell appears verbatim in the text rendering.
+		for _, cell := range r.Tables[0].Rows[0] {
+			if !strings.Contains(out.String(), cell) {
+				t.Errorf("%s: JSON cell %q missing from text output", r.ID, cell)
+			}
 		}
 	}
 
-	traceRaw, err := os.ReadFile(filepath.Join(traceDir, "E23.json"))
-	if err != nil {
-		t.Fatal(err)
+	traces := map[string][]byte{}
+	for _, id := range ids {
+		traceRaw, err := os.ReadFile(filepath.Join(traceDir, id+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var trace struct {
+			TraceEvents []map[string]interface{} `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(traceRaw, &trace); err != nil {
+			t.Fatalf("%s trace invalid JSON: %v", id, err)
+		}
+		if len(trace.TraceEvents) == 0 {
+			t.Fatalf("%s trace has no events", id)
+		}
+		traces[id] = traceRaw
 	}
-	var trace struct {
-		TraceEvents []map[string]interface{} `json:"traceEvents"`
+
+	// Digests of the traces as the historical sort-then-render exporter
+	// wrote them. Other architectures may fuse floating-point
+	// multiply-adds, so simulated times can differ there in the last bit.
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("trace digests are pinned on amd64; %s may fuse floating-point multiply-adds", runtime.GOARCH)
 	}
-	if err := json.Unmarshal(traceRaw, &trace); err != nil {
-		t.Fatalf("E23 trace invalid JSON: %v", err)
+	pinned := map[string]struct {
+		bytes int
+		sha   string
+	}{
+		"E23": {1252118, "d0831dfc41784c660d7171b4712b2dbfb01f147e0d8cc379db47acf08874c73a"},
+		"E24": {2640642, "7cdd8c8e2f67c9160c5c6efc9c03a9dfe91143836e017a1a5cd1408987238315"},
+		"E25": {957321, "1639ab05daa10dafc959c7dcddcac9ee0e818ca9d034c17deec52431b78a1c6b"},
 	}
-	if len(trace.TraceEvents) == 0 {
-		t.Fatal("E23 trace has no events")
+	for _, id := range ids {
+		sum := sha256.Sum256(traces[id])
+		want := pinned[id]
+		if got := hex.EncodeToString(sum[:]); len(traces[id]) != want.bytes || got != want.sha {
+			t.Errorf("%s trace is %d bytes, sha256 %s; pinned %d bytes, %s", id, len(traces[id]), got, want.bytes, want.sha)
+		}
 	}
 }

@@ -97,11 +97,13 @@ func runE16() (*metrics.Table, error) {
 		}
 		t.AddRowf(fmt.Sprintf("IVF nprobe=%d", nprobe), r, q)
 	}
+	// One graph serves the whole efSearch sweep: Search only reads it,
+	// and measure counts each sweep point's dist-comps as a delta.
+	h := vecdb.NewHNSW(dim, 16, 128, 16)
+	if err := fill(h); err != nil {
+		return nil, err
+	}
 	for _, ef := range []int{16, 64, 128} {
-		h := vecdb.NewHNSW(dim, 16, 128, 16)
-		if err := fill(h); err != nil {
-			return nil, err
-		}
 		h.SetEFSearch(ef)
 		r, q, err := measure(h)
 		if err != nil {

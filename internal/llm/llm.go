@@ -27,6 +27,7 @@ package llm
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"dataai/internal/token"
@@ -140,31 +141,51 @@ type Usage struct {
 	LatencyMS        float64
 }
 
-// usageMeter is the shared accounting primitive.
+// usageMeter is the shared accounting primitive. Calls from concurrent
+// goroutines record in scheduling order, and float addition is not
+// associative, so cost and latency are summed as integer counts of a
+// fixed small unit and converted once per snapshot: the tally is the
+// same in any recording order.
 type usageMeter struct {
-	mu sync.Mutex
-	u  Usage
+	mu                      sync.Mutex
+	calls, prompt, complete int64
+	costUnits, latencyUnits int64
 }
 
+// The meter's units: a pico-dollar and a nanosecond. An int64 holds
+// $9.2M of cost or 107 simulated days of latency.
+const (
+	costUnitsPerUSD   = 1e12
+	latencyUnitsPerMS = 1e6
+)
+
 func (m *usageMeter) record(r Response) {
+	cost := int64(math.Round(r.CostUSD * costUnitsPerUSD))
+	latency := int64(math.Round(r.LatencyMS * latencyUnitsPerMS))
 	m.mu.Lock()
-	m.u.Calls++
-	m.u.PromptTokens += int64(r.PromptTokens)
-	m.u.CompletionTokens += int64(r.CompletionTokens)
-	m.u.CostUSD += r.CostUSD
-	m.u.LatencyMS += r.LatencyMS
+	m.calls++
+	m.prompt += int64(r.PromptTokens)
+	m.complete += int64(r.CompletionTokens)
+	m.costUnits += cost
+	m.latencyUnits += latency
 	m.mu.Unlock()
 }
 
 func (m *usageMeter) snapshot() Usage {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.u
+	return Usage{
+		Calls:            m.calls,
+		PromptTokens:     m.prompt,
+		CompletionTokens: m.complete,
+		CostUSD:          float64(m.costUnits) / costUnitsPerUSD,
+		LatencyMS:        float64(m.latencyUnits) / latencyUnitsPerMS,
+	}
 }
 
 func (m *usageMeter) reset() {
 	m.mu.Lock()
-	m.u = Usage{}
+	m.calls, m.prompt, m.complete, m.costUnits, m.latencyUnits = 0, 0, 0, 0, 0
 	m.mu.Unlock()
 }
 

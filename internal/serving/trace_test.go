@@ -269,15 +269,15 @@ func BenchmarkRoutedTraceOn(b *testing.B) { benchSevereRouted(b, obs.NewTracer) 
 
 // severeTrace records the E23 severe cell's timeline; a non-nil dl logs
 // the routing decisions and attaches them for Check.
-func severeTrace(b *testing.B, dl *obs.DecisionLog) *obs.Tracer {
+func severeTrace(tb testing.TB, dl *obs.DecisionLog) *obs.Tracer {
 	reqs, err := workload.Generate(workload.DefaultTrace(47, 300, 50))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	tr := obs.NewTracer()
 	if _, err := RunRoutedFaults(DefaultGPU(), reqs, 4, BreakerAware,
 		ContinuousOpts{ChunkTokens: 256, Trace: tr, Decisions: dl}, SevereFaultPlan(2303)); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return tr
 }

@@ -51,6 +51,10 @@ go test -race -count=3 -run 'SingleFlight|Parallel' ./internal/llm ./internal/se
 # vecdb.Flat: Save racing Delete, concurrent Add/Search/Delete, and the
 # sharded scan against the serial one and the dense reference scan.
 go test -race -count=10 -run 'Flat' ./internal/vecdb
+# obs.WriteChrome renders chunks on several goroutines: the randomized
+# and reference comparisons at 1, 2 and 8 workers, and export racing
+# concurrent recording.
+go test -race -count=10 -run 'WriteChrome|ConcurrentRecord' ./internal/obs
 
 echo "== servesim smoke (routed cluster end-to-end)"
 # One routed run with faults exercises the whole serving stack from the
@@ -145,7 +149,8 @@ echo "== bench smoke (every Par benchmark runs once)"
 go test -run '^$' -bench=Par -benchtime=1x ./...
 
 echo "== tracing bench smoke (record, Check and WriteChrome benchmarks run once)"
-go test -run '^$' -bench 'Trace|WriteChrome' -benchtime=1x ./internal/serving
+# Two -cpu values run WriteChrome's serial and two-worker renderings.
+go test -run '^$' -bench 'Trace|WriteChrome' -benchtime=1x -cpu 1,2 ./internal/serving
 
 echo "== perfbench smoke (every benchmark workload, traced and untraced, outputs checked)"
 # perfbench is its own module, so the root go test ./... never builds
