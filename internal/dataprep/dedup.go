@@ -1,7 +1,10 @@
 package dataprep
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"strconv"
 
 	"dataai/internal/par"
 	"dataai/internal/token"
@@ -172,7 +175,7 @@ func (m *MinHasher) Dedup(docs []string, threshold float64) (kept []string, remo
 	// The signature pass dominates Dedup cost and each signature depends
 	// only on its own document, so it fans out; sigs[i] lands at index i
 	// regardless of completion order, and everything after this line is
-	// unchanged serial code.
+	// serial.
 	sigs := par.Map(len(docs), m.Workers, func(i int) []uint64 {
 		return m.Signature(docs[i])
 	})
@@ -190,41 +193,63 @@ func (m *MinHasher) Dedup(docs []string, threshold float64) (kept []string, remo
 	}
 	union := func(a, b int) { parent[find(a)] = find(b) }
 
-	buckets := make(map[uint64][]int)
+	// Each band groups the documents whose band keys hash alike. Sorting
+	// (hash, doc) pairs puts every group in one run with its lowest doc
+	// index first, and each other member is unioned with that first one
+	// when their signatures agree enough. Union-find over the same pairs
+	// yields the same clusters in any group order.
+	keyed := make([]bandHash, len(sigs))
+	var key []byte
 	for band := 0; band < m.Bands; band++ {
-		for k := range buckets {
-			delete(buckets, k)
-		}
 		for i, sig := range sigs {
-			h := token.Hash64Seed(fmt.Sprint(sig[band*rows:(band+1)*rows]), uint64(band))
-			buckets[h] = append(buckets[h], i)
+			key = appendBandKey(key[:0], sig[band*rows:(band+1)*rows])
+			keyed[i] = bandHash{h: token.Hash64SeedBytes(key, uint64(band)), doc: i}
 		}
-		for _, group := range buckets {
-			for j := 1; j < len(group); j++ {
-				a, b := group[0], group[j]
-				if m.EstimateJaccard(sigs[a], sigs[b]) >= threshold {
+		slices.SortFunc(keyed, func(a, b bandHash) int {
+			if a.h != b.h {
+				return cmp.Compare(a.h, b.h)
+			}
+			return cmp.Compare(a.doc, b.doc)
+		})
+		for g := 0; g < len(keyed); {
+			a, j := keyed[g].doc, g+1
+			for ; j < len(keyed) && keyed[j].h == keyed[g].h; j++ {
+				if b := keyed[j].doc; m.EstimateJaccard(sigs[a], sigs[b]) >= threshold {
 					union(a, b)
 				}
 			}
+			g = j
 		}
 	}
-	first := make(map[int]int) // cluster root -> first doc index
-	for i := range docs {
-		r := find(i)
-		if f, ok := first[r]; !ok || i < f {
-			if !ok {
-				first[r] = i
-			}
-		}
-	}
+	seen := make([]bool, len(docs)) // cluster roots whose first document is kept
 	for i, d := range docs {
-		if first[find(i)] == i {
+		if r := find(i); !seen[r] {
+			seen[r] = true
 			kept = append(kept, d)
 		} else {
 			removed = append(removed, i)
 		}
 	}
 	return kept, removed
+}
+
+// bandHash is one document's band key hash.
+type bandHash struct {
+	h   uint64
+	doc int
+}
+
+// appendBandKey appends band to dst as fmt.Sprint prints a []uint64,
+// "[v0 v1 ... vn]": the bytes whose hash has always been the band key.
+func appendBandKey(dst []byte, band []uint64) []byte {
+	dst = append(dst, '[')
+	for i, v := range band {
+		if i > 0 {
+			dst = append(dst, ' ')
+		}
+		dst = strconv.AppendUint(dst, v, 10)
+	}
+	return append(dst, ']')
 }
 
 // SimHash computes a 64-bit locality-sensitive fingerprint over token

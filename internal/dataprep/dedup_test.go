@@ -2,6 +2,7 @@ package dataprep
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -10,6 +11,7 @@ import (
 
 	"dataai/internal/corpus"
 	"dataai/internal/llm/ngram"
+	"dataai/internal/token"
 )
 
 func trainAndScore(t testing.TB, train, heldOut []string) float64 {
@@ -376,5 +378,164 @@ func BenchmarkParDedup(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// dedupReference is MinHasher.Dedup as the package shipped it before
+// band keys were rendered with strconv: each band key is fmt.Sprint of
+// the band, and each band's groups are map buckets filled in document
+// order. It is the oracle for Dedup (TestDedupMatchesReference).
+func dedupReference(m *MinHasher, docs []string, threshold float64) (kept []string, removed []int) {
+	sigs := make([][]uint64, len(docs))
+	for i, d := range docs {
+		sigs[i] = m.Signature(d)
+	}
+	rows := m.NumHashes / m.Bands
+	parent := make([]int, len(docs))
+	for i := range parent {
+		parent[i] = i
+	}
+	var find func(int) int
+	find = func(x int) int {
+		if parent[x] != x {
+			parent[x] = find(parent[x])
+		}
+		return parent[x]
+	}
+	union := func(a, b int) { parent[find(a)] = find(b) }
+
+	buckets := make(map[uint64][]int)
+	for band := 0; band < m.Bands; band++ {
+		for k := range buckets {
+			delete(buckets, k)
+		}
+		for i, sig := range sigs {
+			h := token.Hash64Seed(fmt.Sprint(sig[band*rows:(band+1)*rows]), uint64(band))
+			buckets[h] = append(buckets[h], i)
+		}
+		for _, group := range buckets {
+			for j := 1; j < len(group); j++ {
+				a, b := group[0], group[j]
+				if m.EstimateJaccard(sigs[a], sigs[b]) >= threshold {
+					union(a, b)
+				}
+			}
+		}
+	}
+	first := make(map[int]int) // cluster root -> first doc index
+	for i := range docs {
+		r := find(i)
+		if f, ok := first[r]; !ok || i < f {
+			if !ok {
+				first[r] = i
+			}
+		}
+	}
+	for i, d := range docs {
+		if first[find(i)] == i {
+			kept = append(kept, d)
+		} else {
+			removed = append(removed, i)
+		}
+	}
+	return kept, removed
+}
+
+// plantedCorpus returns n seeded documents over a small vocabulary, so
+// unrelated documents share shingles too. About a third are edited
+// copies of an earlier document (a few words replaced, inserted or cut),
+// and the mix includes empty, one-token and two-token documents.
+func plantedCorpus(seed int64, n int) []string {
+	rng := rand.New(rand.NewSource(seed))
+	vocab := strings.Fields("data model query index vector token shard cache plan cost " +
+		"latency batch record field table join filter score rank merge")
+	docs := make([]string, n)
+	for i := range docs {
+		switch r := rng.Intn(20); {
+		case r == 0:
+			docs[i] = ""
+		case r == 1:
+			docs[i] = vocab[rng.Intn(len(vocab))]
+		case r == 2:
+			docs[i] = vocab[rng.Intn(len(vocab))] + " " + vocab[rng.Intn(len(vocab))]
+		case r < 9 && i > 0:
+			words := strings.Fields(docs[rng.Intn(i)])
+			for e := rng.Intn(4); e > 0 && len(words) > 0; e-- {
+				at := rng.Intn(len(words))
+				switch rng.Intn(3) {
+				case 0:
+					words[at] = vocab[rng.Intn(len(vocab))]
+				case 1:
+					words = append(words[:at], append([]string{vocab[rng.Intn(len(vocab))]}, words[at:]...)...)
+				default:
+					words = append(words[:at], words[at+1:]...)
+				}
+			}
+			docs[i] = strings.Join(words, " ")
+		default:
+			words := make([]string, 8+rng.Intn(30))
+			for w := range words {
+				words[w] = vocab[rng.Intn(len(vocab))]
+			}
+			docs[i] = strings.Join(words, " ")
+		}
+	}
+	return docs
+}
+
+// TestDedupMatchesReference compares Dedup's kept documents and removed
+// indices with the fmt.Sprint and map-bucket oracle, across seeded
+// corpora, thresholds, band counts and worker counts.
+func TestDedupMatchesReference(t *testing.T) {
+	removedAny := 0
+	for seed := int64(1); seed <= 4; seed++ {
+		docs := plantedCorpus(seed, 300)
+		for _, threshold := range []float64{0.3, 0.6, 0.9} {
+			for _, bands := range []int{8, 16, 32} {
+				m, err := NewMinHasher(128, bands, 3, uint64(seed))
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantKept, wantRemoved := dedupReference(m, docs, threshold)
+				removedAny += len(wantRemoved)
+				for _, workers := range []int{1, 2} {
+					m.Workers = workers
+					kept, removed := m.Dedup(docs, threshold)
+					if !reflect.DeepEqual(kept, wantKept) || !reflect.DeepEqual(removed, wantRemoved) {
+						t.Errorf("seed %d threshold %v bands %d workers %d: kept %d removed %v, reference kept %d removed %v",
+							seed, threshold, bands, workers, len(kept), removed, len(wantKept), wantRemoved)
+					}
+				}
+			}
+		}
+	}
+	if removedAny == 0 {
+		t.Fatal("no configuration removed a document; the comparison is vacuous")
+	}
+}
+
+// TestBandKeyMatchesSprint checks appendBandKey's bytes, and the band
+// hash of those bytes, against fmt.Sprint at every decimal length edge.
+func TestBandKeyMatchesSprint(t *testing.T) {
+	vals := []uint64{0, 9, 10, math.MaxUint64}
+	for p, k := uint64(1), 1; k <= 19; k++ {
+		p *= 10
+		vals = append(vals, p-1, p, p+1)
+	}
+	bands := [][]uint64{nil, {}, vals[:1], vals[:4]}
+	for i := range vals {
+		bands = append(bands, vals[i:i+1], vals[i:min(i+4, len(vals))])
+	}
+	bands = append(bands, vals)
+	prefix := []byte("reused")
+	for _, band := range bands {
+		want := fmt.Sprint(band)
+		key := appendBandKey(prefix, band)
+		if got := string(key[len(prefix):]); got != want {
+			t.Errorf("appendBandKey(%v) = %q, fmt.Sprint %q", band, got, want)
+		}
+		if h, w := token.Hash64SeedBytes(key[len(prefix):], 7), token.Hash64Seed(want, 7); h != w {
+			t.Errorf("band %v: hash %#x, fmt.Sprint's %#x", band, h, w)
+		}
 	}
 }

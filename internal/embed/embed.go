@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"unicode"
+	"unicode/utf8"
 
 	"dataai/internal/token"
 )
@@ -89,7 +90,7 @@ func tokenWeight(t string) float32 {
 	if stopwords[t] {
 		return stopWeight
 	}
-	if r := []rune(t); len(r) > 0 && !unicode.IsLetter(r[0]) && !unicode.IsDigit(r[0]) {
+	if r, n := utf8.DecodeRuneInString(t); n > 0 && !unicode.IsLetter(r) && !unicode.IsDigit(r) {
 		return stopWeight // punctuation
 	}
 	return 1

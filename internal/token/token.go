@@ -16,6 +16,7 @@ import (
 	"strings"
 	"sync"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Special token identifiers reserved at the bottom of every Vocabulary.
@@ -32,32 +33,67 @@ const (
 
 // Tokenize splits text into lower-cased word and punctuation tokens.
 // Runs of letters or digits form one token; every other non-space rune is
-// its own token. The output is deterministic for a given input.
+// its own token, and an invalid UTF-8 byte is the token "\uFFFD". The
+// output is deterministic for a given input.
+//
+// Tokens share text's memory: a token that lower-casing leaves unchanged
+// is a slice of text, so anything that keeps tokens keeps text alive
+// with them. Vocabulary copies each token it registers, so a vocabulary
+// (and with it the n-gram tables of package llm/ngram, which key on
+// vocabulary ids) never pins the documents it was built from.
 func Tokenize(text string) []string {
 	if text == "" {
 		return nil
 	}
 	toks := make([]string, 0, len(text)/5+1)
-	var b strings.Builder
-	flush := func() {
-		if b.Len() > 0 {
-			toks = append(toks, strings.ToLower(b.String()))
-			b.Reset()
+	word := -1 // start of the word being scanned, or -1 between words
+	for i := 0; i < len(text); {
+		r, w := rune(text[i]), 1
+		var inWord, space bool
+		if r < utf8.RuneSelf {
+			c := text[i]
+			inWord = 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9'
+			space = c == ' ' || '\t' <= c && c <= '\r'
+		} else {
+			r, w = utf8.DecodeRuneInString(text[i:])
+			inWord = unicode.IsLetter(r) || unicode.IsDigit(r)
+			space = !inWord && unicode.IsSpace(r)
 		}
-	}
-	for _, r := range text {
-		switch {
-		case unicode.IsLetter(r) || unicode.IsDigit(r):
-			b.WriteRune(r)
-		case unicode.IsSpace(r):
-			flush()
-		default:
-			flush()
-			toks = append(toks, string(unicode.ToLower(r)))
+		if inWord {
+			if word < 0 {
+				word = i
+			}
+		} else {
+			if word >= 0 {
+				// strings.ToLower returns its argument when no rune
+				// changes, so an already lower-case word stays a slice.
+				toks = append(toks, strings.ToLower(text[word:i]))
+				word = -1
+			}
+			if !space {
+				toks = append(toks, runeToken(text[i:i+w], r))
+			}
 		}
+		i += w
 	}
-	flush()
+	if word >= 0 {
+		toks = append(toks, strings.ToLower(text[word:]))
+	}
 	return toks
+}
+
+// runeToken is the token of a punctuation rune r, encoded in text as s:
+// r lower-cased, and s itself when lower-casing leaves r unchanged,
+// except that an invalid byte reads as "\uFFFD" (utf8.RuneError), as
+// ranging over a string decodes it.
+func runeToken(s string, r rune) string {
+	if l := unicode.ToLower(r); l != r {
+		return string(l)
+	}
+	if r == utf8.RuneError && len(s) == 1 {
+		return string(utf8.RuneError)
+	}
+	return s
 }
 
 // Detokenize joins tokens back into readable text. Punctuation tokens are
@@ -78,7 +114,7 @@ func isPunct(t string) bool {
 	if len(t) == 0 {
 		return false
 	}
-	r := []rune(t)[0]
+	r, _ := utf8.DecodeRuneInString(t)
 	return !unicode.IsLetter(r) && !unicode.IsDigit(r)
 }
 
@@ -162,6 +198,7 @@ func (v *Vocabulary) ID(tok string) int {
 		return id
 	}
 	id = len(v.words)
+	tok = strings.Clone(tok) // a token may be a slice of a whole document
 	v.ids[tok] = id
 	v.words = append(v.words, tok)
 	return id

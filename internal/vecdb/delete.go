@@ -16,8 +16,9 @@ func (f *Flat) Delete(id string) error {
 		return fmt.Errorf("%w: %q", ErrNotFound, id)
 	}
 	last := len(f.ids) - 1
-	dst, di := f.blocks[i/flatBlockRows], i%flatBlockRows
-	src, si := f.blocks[last/flatBlockRows], last%flatBlockRows
+	bi, bl := i/flatBlockRows, last/flatBlockRows
+	dst, di := f.blocks[bi], i%flatBlockRows
+	src, si := f.blocks[bl], last%flatBlockRows
 	for d := 0; d < f.dim; d++ {
 		dst[d*f.blockCap+di] = src[d*f.blockCap+si]
 	}
@@ -25,10 +26,16 @@ func (f *Flat) Delete(id string) error {
 	f.pos[f.ids[i]] = i
 	f.ids = f.ids[:last]
 	delete(f.pos, id)
+	// The last block is no longer full. A row moved into an earlier
+	// block, which stays full, changes its columns: seal it again.
+	f.sealed[bl] = nil
+	if bi != bl {
+		f.seal(bi)
+	}
 	// Release a block the removal emptied; the first block always stays.
 	if last > 0 && si == 0 {
-		f.blocks[len(f.blocks)-1] = nil
-		f.blocks = f.blocks[:len(f.blocks)-1]
+		f.blocks[bl] = nil
+		f.blocks, f.sealed = f.blocks[:bl], f.sealed[:bl]
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"dataai/internal/embed"
@@ -72,20 +73,82 @@ func extremeCoord(rng *rand.Rand) float32 {
 	}
 }
 
-// refStoredVec returns a stored vector of one of three kinds: sparse,
-// dense, or extreme-magnitude with signed zeros and subnormals.
+// columnDensity is the chance that a column-skewed vector has a non-zero
+// coordinate d, by d modulo its length: mixed with the other kinds of
+// refStoredVec, it gives every full block sparse columns and dense ones
+// (see flatSparseMax), and some near the cut.
+var columnDensity = []float64{0, 0.02, 0.1, 0.3, 0.45, 0.55, 0.8, 1}
+
+// refStoredVec returns a stored vector of one of four kinds: sparse,
+// dense, extreme-magnitude with signed zeros and subnormals, or (most
+// often) column-skewed with extreme-magnitude coordinates.
 func refStoredVec(rng *rand.Rand, dim int) []float32 {
-	switch rng.Intn(3) {
+	v := make([]float32, dim)
+	switch rng.Intn(8) {
 	case 0:
 		return sparseVec(rng, dim, dim/4)
 	case 1:
 		return randVec(rng, dim)
-	}
-	v := make([]float32, dim)
-	for d := range v {
-		v[d] = extremeCoord(rng)
+	case 2:
+		for d := range v {
+			v[d] = extremeCoord(rng)
+		}
+	default:
+		for d := range v {
+			if rng.Float64() < columnDensity[d%len(columnDensity)] {
+				v[d] = extremeCoord(rng)
+			}
+		}
 	}
 	return v
+}
+
+// sealedColumns tallies the sealed columns checkSealed has seen, so a
+// test can show it scanned both kinds.
+type sealedColumns struct{ sparse, dense int }
+
+// checkSealed verifies f.sealed against f.blocks: exactly the full
+// blocks are sealed, a column is sparse exactly when it has fewer than
+// flatSparseMax non-zeros, and a sparse column lists every non-zero of
+// its block column, in row order.
+func checkSealed(t *testing.T, name string, f *Flat, seen *sealedColumns) {
+	t.Helper()
+	if len(f.sealed) != len(f.blocks) {
+		t.Fatalf("%s: %d seals for %d blocks", name, len(f.sealed), len(f.blocks))
+	}
+	for b, s := range f.sealed {
+		if full := len(f.ids) >= (b+1)*flatBlockRows; (s != nil) != full {
+			t.Fatalf("%s: block %d of %d rows: sealed %v, full %v", name, b, len(f.ids), s != nil, full)
+		}
+		if s == nil {
+			continue
+		}
+		for d := 0; d < f.dim; d++ {
+			var want []rowValue
+			for r, x := range f.blocks[b][d*flatBlockRows : (d+1)*flatBlockRows] {
+				if x != 0 {
+					want = append(want, rowValue{row: uint32(r), v: x})
+				}
+			}
+			if dense := len(want) >= flatSparseMax; s.dense[d] != dense {
+				t.Fatalf("%s: block %d column %d has %d non-zeros, dense %v", name, b, d, len(want), s.dense[d])
+			}
+			if s.dense[d] {
+				seen.dense++
+				continue
+			}
+			seen.sparse++
+			got := s.cols[d]
+			if len(got) != len(want) {
+				t.Fatalf("%s: block %d column %d: %d pairs, %d non-zeros", name, b, d, len(got), len(want))
+			}
+			for i := range want {
+				if got[i].row != want[i].row || math.Float32bits(got[i].v) != math.Float32bits(want[i].v) {
+					t.Fatalf("%s: block %d column %d pair %d = %v, want %v", name, b, d, i, got[i], want[i])
+				}
+			}
+		}
+	}
 }
 
 // refQueries returns all-zero queries (+0 and -0), a one-hot negative
@@ -176,13 +239,22 @@ func checkAgainstReference(t *testing.T, name string, f *Flat, m *flatModel, que
 
 // TestFlatScanMatchesReference is the differential test of the blocked
 // sparse scan against the dense row-major oracle, at sizes on both sides
-// of the first block's growth and of every block edge, across deletes
-// that empty and release the last block, re-adds, and a Save/LoadFlat
-// round trip. One in ten stored vectors repeats an earlier one, so
-// results also carry exact score ties.
+// of the first block's growth and seal and of every block edge. Most
+// blocks hold sparse and dense columns. The sequences cover deletes
+// inside a sealed block (a re-seal), a delete that un-fills the last
+// block and the add that seals it again, deletes that empty and release
+// the last block, re-adds, sharded scans that split sealed blocks, and a
+// Save/LoadFlat round trip. One in ten stored vectors repeats an earlier
+// one, so results also carry exact score ties.
 func TestFlatScanMatchesReference(t *testing.T) {
 	const dim = 24
 	compared := 0
+	var seen sealedColumns
+	check := func(name string, f *Flat, m *flatModel, queries [][]float32) {
+		t.Helper()
+		checkSealed(t, name, f, &seen)
+		compared += checkAgainstReference(t, name, f, m, queries)
+	}
 	for _, n := range []int{1, 1023, 1024, 1025, 2049, 4100} {
 		rng := rand.New(rand.NewSource(int64(n)))
 		f, m := NewFlat(dim), &flatModel{}
@@ -194,30 +266,49 @@ func TestFlatScanMatchesReference(t *testing.T) {
 			m.add(t, f, fmt.Sprintf("r%05d", i), v)
 		}
 		queries := refQueries(rng, dim)
-		compared += checkAgainstReference(t, fmt.Sprintf("n%d", n), f, m, queries)
+		check(fmt.Sprintf("n%d", n), f, m, queries)
+		if n == 4100 {
+			// Rows from the unfilled fifth block move into sealed ones;
+			// the index stays large enough for sharded scans, which at 2
+			// and 3 workers split sealed blocks.
+			for _, i := range []int{7, 1500, 4000} {
+				m.delete(t, f, i)
+			}
+			check("n4100-resealed", f, m, queries)
+		}
 		if n != 2049 {
 			continue
 		}
 
 		// 2049 rows fill two blocks and put one row in a third: deleting
-		// any row empties the third block.
-		m.delete(t, f, rng.Intn(len(m.ids)))
+		// a row of the first block moves that row into it, which must
+		// be sealed again, and empties the third block.
+		m.delete(t, f, 5)
 		if len(f.blocks) != 2 {
 			t.Fatalf("after emptying the third block: %d blocks, want 2", len(f.blocks))
 		}
-		compared += checkAgainstReference(t, "deleted-to-2048", f, m, queries)
-		m.delete(t, f, len(m.ids)-1)
+		check("deleted-to-2048", f, m, queries)
+		m.delete(t, f, 1500)
+		if f.sealed[1] != nil {
+			t.Fatal("the second block is no longer full but still sealed")
+		}
+		check("unfilled-2047", f, m, queries)
+		m.add(t, f, "refill", refStoredVec(rng, dim))
+		if f.sealed[1] == nil {
+			t.Fatal("the second block is full again but not sealed")
+		}
+		check("refilled-2048", f, m, queries)
 		for len(m.ids) > 1000 {
 			m.delete(t, f, rng.Intn(len(m.ids)))
 		}
 		if len(f.blocks) != 1 {
 			t.Fatalf("after deleting to %d rows: %d blocks, want 1", len(m.ids), len(f.blocks))
 		}
-		compared += checkAgainstReference(t, "deleted-to-1000", f, m, queries)
+		check("deleted-to-1000", f, m, queries)
 		for i := 0; i < 1100; i++ {
 			m.add(t, f, fmt.Sprintf("readd%05d", i), refStoredVec(rng, dim))
 		}
-		compared += checkAgainstReference(t, "re-added", f, m, queries)
+		check("re-added", f, m, queries)
 
 		var buf bytes.Buffer
 		if err := f.Save(&buf); err != nil {
@@ -227,7 +318,108 @@ func TestFlatScanMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		compared += checkAgainstReference(t, "loaded", loaded, m, queries)
+		check("loaded", loaded, m, queries)
 	}
-	t.Logf("%d scores compared", compared)
+
+	// Score ties at the heap root: every fourth row is v, and ids fall as
+	// rows are added. The other rows are zero where v is not, so on a
+	// query over v's coordinates each copy of v outscores them, and each
+	// later copy beats the full heap's root by its smaller id alone. v's
+	// columns hold a quarter of the rows, so they are scanned as pairs.
+	rng := rand.New(rand.NewSource(7))
+	f, m := NewFlat(dim), &flatModel{}
+	v, onV := make([]float32, dim), make([]float32, dim)
+	for d := 0; d < dim; d += 4 {
+		v[d], onV[d] = float32(d+1), 1
+	}
+	for i := 0; i < 4200; i++ {
+		w := v
+		if i%4 != 0 {
+			w = refStoredVec(rng, dim)
+			for d := 0; d < dim; d += 4 {
+				w[d] = 0
+			}
+		}
+		m.add(t, f, fmt.Sprintf("t%05d", 4200-i), w)
+	}
+	check("ties", f, m, append(refQueries(rng, dim), onV))
+
+	if seen.sparse == 0 || seen.dense == 0 {
+		t.Fatalf("sealed columns checked: %d sparse, %d dense; want both kinds", seen.sparse, seen.dense)
+	}
+	t.Logf("%d scores compared; %d sparse and %d dense sealed columns checked", compared, seen.sparse, seen.dense)
+}
+
+// TestFlatSealRacesSearch: searches at two workers race one writer whose
+// adds seal blocks and whose deletes re-seal or un-seal them, growing
+// the index past flatParallelMin so later scans shard. Each result must
+// score exactly embed.Dot of the query and the vector its id was added
+// with; at the end the index must match the oracle. Under -race this
+// also proves no scan reads a seal while it is written.
+func TestFlatSealRacesSearch(t *testing.T) {
+	t.Parallel()
+	const dim, n, readers = 16, flatParallelMin + 300, 3
+	rng := rand.New(rand.NewSource(11))
+	vecs := make([][]float32, n)
+	for i := range vecs {
+		vecs[i] = refStoredVec(rng, dim)
+	}
+	f, m := NewFlat(dim), &flatModel{}
+	f.SetParallelism(2)
+	for i := 0; i < 900; i++ {
+		m.add(t, f, fmt.Sprintf("s%05d", i), vecs[i])
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	// Stopped before the final checks, whose DistComps deltas a running
+	// reader would disturb, and on a t.Fatal from the writer.
+	stopReaders := sync.OnceFunc(func() {
+		close(stop)
+		wg.Wait()
+	})
+	defer stopReaders()
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			qrng := rand.New(rand.NewSource(int64(100 + r)))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				q := refQueries(qrng, dim)[3+qrng.Intn(3)]
+				res, err := f.Search(q, 5)
+				if err != nil {
+					t.Errorf("Search: %v", err)
+					return
+				}
+				for _, hit := range res {
+					var i int
+					if _, err := fmt.Sscanf(hit.ID, "s%05d", &i); err != nil {
+						t.Errorf("result id %q: %v", hit.ID, err)
+						return
+					}
+					if want := embed.Dot(q, vecs[i]); math.Float32bits(hit.Score) != math.Float32bits(want) {
+						t.Errorf("%s scored %v, embed.Dot %v", hit.ID, hit.Score, want)
+						return
+					}
+				}
+			}
+		}(r)
+	}
+	// The writer runs on the test goroutine, so the model's t.Fatal is
+	// safe: it adds every vector, and every 7th add deletes a row at a
+	// position that cycles through the sealed blocks and the last one.
+	for i := 900; i < n; i++ {
+		m.add(t, f, fmt.Sprintf("s%05d", i), vecs[i])
+		if i%7 == 0 {
+			m.delete(t, f, (i*131)%len(m.ids))
+		}
+	}
+	stopReaders()
+	var seen sealedColumns
+	checkSealed(t, "raced", f, &seen)
+	checkAgainstReference(t, "raced", f, m, refQueries(rng, dim))
 }

@@ -99,8 +99,9 @@ func BenchmarkParFlatSearch(b *testing.B) {
 	benchFlatSearch(b, f, q, k, 1, 2, 4, 8)
 }
 
-// BenchmarkParFlatSearchAtMin times the dense scan at flatParallelMin
-// rows, the smallest index the sharded scan runs on: w2 must beat w1
+// BenchmarkParFlatSearchAtMin times the scan at flatParallelMin rows,
+// the smallest index the sharded scan runs on, on dense vectors and on
+// the prep-rag shape of BenchmarkParFlatSearchSparse: w2 must beat w1
 // here for that threshold to stand. Each iteration runs one serial and
 // one 2-worker search, alternating which goes first, so the host's speed
 // drift (it moves by tens of percent within seconds on a shared machine)
@@ -108,8 +109,18 @@ func BenchmarkParFlatSearch(b *testing.B) {
 // the share of iterations the 2-worker search won.
 func BenchmarkParFlatSearchAtMin(b *testing.B) {
 	const dim, k = 64, 10
-	f := benchFlat(b, flatParallelMin, dim)
-	q := randVec(rand.New(rand.NewSource(2)), dim)
+	dense := benchFlat(b, flatParallelMin, dim)
+	b.Run("dense", func(b *testing.B) {
+		benchAlternating(b, dense, randVec(rand.New(rand.NewSource(2)), dim), k)
+	})
+	sparse, q := sparseFlat(b, flatParallelMin)
+	b.Run("sparse", func(b *testing.B) { benchAlternating(b, sparse, q, sparseK) })
+}
+
+// benchAlternating runs b.N rounds of one serial and one 2-worker
+// f.Search(q, k), alternating which goes first, and reports each side's
+// median time per search and the share of rounds w2 won.
+func benchAlternating(b *testing.B, f *Flat, q []float32, k int) {
 	times := [2][]float64{make([]float64, b.N), make([]float64, b.N)}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -137,20 +148,30 @@ func BenchmarkParFlatSearchAtMin(b *testing.B) {
 	b.ReportMetric(float64(wins)/float64(b.N), "w2-wins")
 }
 
-// BenchmarkParFlatSearchSparse measures the scan on the prep-rag
-// benchmark's shape: the hash embedder's 256-dim chunk vectors carry
-// about 46 non-zero coordinates and its queries about 25, and the RAG
-// pipeline asks for the top 4 of 13,312 chunks.
-func BenchmarkParFlatSearchSparse(b *testing.B) {
-	const n, dim, storedNZ, queryNZ, k = 13312, 256, 46, 25, 4
+// The prep-rag benchmark's shape: the hash embedder's 256-dim chunk
+// vectors carry about 46 non-zero coordinates and its queries about 25,
+// and the RAG pipeline asks for the top 4.
+const sparseDim, sparseStoredNZ, sparseQueryNZ, sparseK = 256, 46, 25, 4
+
+// sparseFlat returns an n-row index of the prep-rag shape and a query.
+func sparseFlat(b *testing.B, n int) (*Flat, []float32) {
+	b.Helper()
 	rng := rand.New(rand.NewSource(6))
-	f := NewFlat(dim)
+	f := NewFlat(sparseDim)
 	for i := 0; i < n; i++ {
-		if err := f.Add(fmt.Sprintf("v%06d", i), sparseVec(rng, dim, storedNZ)); err != nil {
+		if err := f.Add(fmt.Sprintf("v%06d", i), sparseVec(rng, sparseDim, sparseStoredNZ)); err != nil {
 			b.Fatal(err)
 		}
 	}
-	benchFlatSearch(b, f, sparseVec(rng, dim, queryNZ), k, 1, 2)
+	return f, sparseVec(rng, sparseDim, sparseQueryNZ)
+}
+
+// BenchmarkParFlatSearchSparse measures the scan on the prep-rag
+// benchmark's shape (see sparseDim) over 13,312 chunks, thirteen full
+// blocks.
+func BenchmarkParFlatSearchSparse(b *testing.B) {
+	f, q := sparseFlat(b, 13312)
+	benchFlatSearch(b, f, q, sparseK, 1, 2)
 }
 
 // BenchmarkParFlatSearchBatch measures SearchBatch across queries — the
@@ -238,4 +259,36 @@ func BenchmarkParHNSWSearchBatch(b *testing.B) {
 			b.ReportMetric(critPathSpeedupQueries(nq, workers), "critpath-x")
 		})
 	}
+}
+
+// BenchmarkFlatColumnKernels times the two ways a scan adds one query
+// coordinate's products into a block's scores: addScaled over every row
+// of a dense column, and addPairs over a sparse column's (row, value)
+// pairs, here a third of the block's rows at random. Each reports its
+// cost per multiply-add (ns/madd); their ratio sets flatSparseMax.
+func BenchmarkFlatColumnKernels(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	var scores [flatBlockRows]float32
+	col := make([]float32, flatBlockRows)
+	for r := range col {
+		col[r] = float32(rng.NormFloat64())
+	}
+	var pairs []rowValue
+	for r, x := range col {
+		if rng.Intn(3) == 0 {
+			pairs = append(pairs, rowValue{row: uint32(r), v: x})
+		}
+	}
+	b.Run("dense", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			addScaled(scores[:], col, 0.5)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(col)), "ns/madd")
+	})
+	b.Run("pairs", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			addPairs(&scores, pairs, 0.5)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pairs)), "ns/madd")
+	})
 }

@@ -14,10 +14,12 @@
 package vecdb
 
 import (
+	"cmp"
 	"container/heap"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -98,13 +100,19 @@ type DistCounter interface {
 // the query's non-zero coordinates (see scan). Only the first block
 // grows, by doubling, so a small index stays small; once it is full,
 // blockCap is flatBlockRows and every later block is allocated whole.
+//
+// A block is sealed when its last row is added: sealed[b] then lists
+// the non-zeros of each of block b's sparse columns, which a scan reads
+// instead of the whole column. The blocks stay the source of truth for
+// Get, Save, Delete and the unfilled last block.
 type Flat struct {
 	parallelism
 	mu       sync.RWMutex
 	dim      int
 	ids      []string
 	blocks   [][]float32
-	blockCap int // rows per block column; flatBlockRows once a second block exists
+	sealed   []*sealedBlock // per block; nil until the block is full
+	blockCap int            // rows per block column; flatBlockRows once a second block exists
 	pos      map[string]int
 	dists    atomic.Uint64
 }
@@ -113,12 +121,39 @@ type Flat struct {
 // the on-stack score buffer a scan fills per block.
 const flatBlockRows = 1024
 
+// sealedBlock is the sparse form of a full block: for each column d with
+// fewer than flatSparseMax non-zeros, cols[d] lists them as (row, value)
+// pairs in row order; dense[d] marks the other columns, which a scan
+// reads from the block itself.
+type sealedBlock struct {
+	dense []bool
+	cols  [][]rowValue
+	pairs []rowValue // backing array of cols
+}
+
+// rowValue is one non-zero of a sparse column: its row within the block
+// and its value.
+type rowValue struct {
+	row uint32
+	v   float32
+}
+
+// flatSparseMax is the non-zero count from which a sealed column is
+// scanned densely. A pair costs about 1.5 times a dense row
+// (BenchmarkFlatColumnKernels on a 2-vCPU Xeon: ~1.0 ns per pair against
+// ~0.65 ns per row), so pairs pay up to about two thirds of the block,
+// and half leaves a margin. On the prep-rag benchmark's index (seed 1:
+// 13,208 chunks, its 1,100 questions, one worker) a search took 154 µs
+// with this cut, 168 µs with a third, 156 µs with 0.6, 158 µs with every
+// column as pairs and 275 µs with every column dense.
+const flatSparseMax = flatBlockRows / 2
+
 // DistComps implements DistCounter.
 func (f *Flat) DistComps() uint64 { return f.dists.Load() }
 
 // NewFlat returns an empty exact index for dim-dimensional vectors.
 func NewFlat(dim int) *Flat {
-	return &Flat{dim: dim, blocks: make([][]float32, 1), pos: make(map[string]int)}
+	return &Flat{dim: dim, blocks: make([][]float32, 1), sealed: make([]*sealedBlock, 1), pos: make(map[string]int)}
 }
 
 // Dim implements Index.
@@ -158,7 +193,53 @@ func (f *Flat) Add(id string, vec []float32) error {
 	for d, x := range vec {
 		blk[d*f.blockCap+r] = x
 	}
+	if r == flatBlockRows-1 {
+		f.seal(row / flatBlockRows)
+	}
 	return nil
+}
+
+// seal records the sparse columns of full block b in f.sealed[b],
+// reusing the memory of its previous seal. Must be called with f.mu
+// held.
+func (f *Flat) seal(b int) {
+	s := f.sealed[b]
+	if s == nil {
+		s = &sealedBlock{dense: make([]bool, f.dim), cols: make([][]rowValue, f.dim)}
+		f.sealed[b] = s
+	}
+	blk := f.blocks[b]
+	total := 0
+	for d := range s.dense {
+		nz := 0
+		for _, x := range blk[d*flatBlockRows : (d+1)*flatBlockRows] {
+			nz += nonZero(x)
+		}
+		s.dense[d] = nz >= flatSparseMax
+		if !s.dense[d] {
+			total += nz
+		}
+	}
+	// One spare slot: the fill below writes each row's pair before it
+	// knows whether to keep it.
+	s.pairs = slices.Grow(s.pairs[:0], total+1)[:total+1]
+	n := 0
+	for d, dense := range s.dense {
+		start := n
+		if !dense {
+			for r, x := range blk[d*flatBlockRows : (d+1)*flatBlockRows] {
+				s.pairs[n] = rowValue{row: uint32(r), v: x}
+				n += nonZero(x)
+			}
+		}
+		s.cols[d] = s.pairs[start:n:n]
+	}
+	s.pairs = s.pairs[:n]
+}
+
+// nonZero is 1 when x is not ±0, else 0, without a branch.
+func nonZero(x float32) int {
+	return int((math.Float32bits(x)&0x7fffffff + 0x7fffffff) >> 31)
 }
 
 // grow makes room for row len(f.ids): it doubles the first block,
@@ -170,6 +251,7 @@ func (f *Flat) grow() {
 	case f.blockCap == flatBlockRows:
 		if n == len(f.blocks)*flatBlockRows {
 			f.blocks = append(f.blocks, make([]float32, flatBlockRows*f.dim))
+			f.sealed = append(f.sealed, nil)
 		}
 	case n == f.blockCap:
 		c := max(2*f.blockCap, 1)
@@ -221,11 +303,13 @@ func (f *Flat) SearchFilter(query []float32, k int, keep func(id string) bool) (
 }
 
 // flatParallelMin is the index size below which a sharded scan is not
-// worth the fan-out overhead. At this size two workers still win: on a
-// dense 4096 × 64 index BenchmarkParFlatSearchAtMin read 0.21 ms at w2
-// against 0.27 ms at w1, w2 faster in 71% of its interleaved searches
+// worth the fan-out overhead. At this size two workers still win on
+// dense vectors and break even on sparse ones: BenchmarkParFlatSearchAtMin
+// read 0.15 ms at w2 against 0.21 ms at w1 on a dense 4096 × 64 index,
+// w2 faster in 75% of its interleaved searches, and 0.036 against
+// 0.035 ms on the prep-rag shape, whose sealed blocks scan as pairs
 // (medians of 10 runs on a 2-vCPU Xeon; BENCH_par.json,
-// flat_sparse_scan).
+// sealed_sparse_columns).
 const flatParallelMin = 4096
 
 // searchOne runs one scan at the given worker count.
@@ -252,39 +336,76 @@ func (f *Flat) searchOne(query []float32, k int, keep func(id string) bool, work
 //
 // Each block is scored column by column: for every non-zero query
 // coordinate d, in ascending order, q[d]·v[d] is added to each row's
-// running score in an on-stack buffer. A row's score is therefore
-// exactly embed.Dot(query, v) — the same float32 products, added in the
-// same order, starting from +0 — minus the terms whose query coordinate
-// is zero. Skipping those cannot change a bit: v[d] is finite (Add
-// refuses anything else), so the skipped product is ±0; a sum that
-// starts at +0 can never become -0, and adding ±0 to anything other
-// than -0 returns it unchanged.
+// running score in an on-stack buffer. A sealed block's sparse column
+// adds only its non-zeros (clipped to the rows scanned); other columns
+// add every row. A row's score is therefore exactly embed.Dot(query, v)
+// — the same float32 products, added in the same order, starting from
+// +0 — minus terms where q[d] or v[d] is zero. Skipping those cannot
+// change a bit: the other factor is finite (Add refuses anything else),
+// so the skipped product is ±0; a sum that starts at +0 can never become
+// -0, and adding ±0 to anything other than -0 returns it unchanged.
 //
 // Must be called with f.mu read-held.
 func (f *Flat) scan(query []float32, lo, hi int, keep func(id string) bool, h *topK) uint64 {
 	var buf [flatBlockRows]float32
+	var nzBuf [256]int32 // the embedders' default dimension; more spill to the heap
+	nz := nzBuf[:0]      // the query's non-zero coordinates, in ascending order
+	for d, qd := range query {
+		if qd != 0 {
+			nz = append(nz, int32(d))
+		}
+	}
 	var dots uint64
 	for lo < hi {
-		blk, r0 := f.blocks[lo/flatBlockRows], lo%flatBlockRows
-		scores := buf[:min(hi-lo, flatBlockRows-r0)]
+		b, r0 := lo/flatBlockRows, lo%flatBlockRows
+		r1 := min(r0+hi-lo, flatBlockRows)
+		blk, s := f.blocks[b], f.sealed[b]
+		scores := buf[r0:r1]
 		clear(scores)
-		for d, qd := range query {
-			if qd == 0 {
+		for _, d := range nz {
+			qd := query[d]
+			if s == nil || s.dense[d] {
+				addScaled(scores, blk[int(d)*f.blockCap+r0:], qd)
 				continue
 			}
-			addScaled(scores, blk[d*f.blockCap+r0:], qd)
-		}
-		for r, s := range scores {
-			id := f.ids[lo+r]
-			if keep != nil && !keep(id) {
-				continue
+			col := s.cols[d]
+			if r0 > 0 || r1 < flatBlockRows {
+				col = clipRows(col, r0, r1)
 			}
-			dots++
-			h.offer(Result{ID: id, Score: s})
+			addPairs(&buf, col, qd)
 		}
+		dots += h.offerRows(scores, f.ids[lo:lo+len(scores)], keep)
 		lo += len(scores)
 	}
 	return dots
+}
+
+// clipRows returns the pairs of col, which is in row order, whose rows
+// lie in [r0, r1).
+func clipRows(col []rowValue, r0, r1 int) []rowValue {
+	lo, _ := slices.BinarySearchFunc(col, uint32(r0), func(p rowValue, r uint32) int { return cmp.Compare(p.row, r) })
+	hi, _ := slices.BinarySearchFunc(col, uint32(r1), func(p rowValue, r uint32) int { return cmp.Compare(p.row, r) })
+	return col[lo:hi]
+}
+
+// addPairs adds q·v to scores[row] for every (row, v) pair of col. Like
+// addScaled, it handles four entries per iteration, which cut its cost
+// per pair by about a quarter (BenchmarkFlatColumnKernels), and stays out
+// of line.
+//
+//go:noinline
+func addPairs(scores *[flatBlockRows]float32, col []rowValue, q float32) {
+	i := 0
+	for ; i+4 <= len(col); i += 4 {
+		p := col[i : i+4 : i+4]
+		scores[p[0].row%flatBlockRows] += q * p[0].v
+		scores[p[1].row%flatBlockRows] += q * p[1].v
+		scores[p[2].row%flatBlockRows] += q * p[2].v
+		scores[p[3].row%flatBlockRows] += q * p[3].v
+	}
+	for ; i < len(col); i++ {
+		scores[col[i].row%flatBlockRows] += q * col[i].v
+	}
 }
 
 // addScaled adds q·col[r] to scores[r] for every row r of scores.
@@ -392,6 +513,36 @@ func (h *topK) Pop() interface{} {
 	it := h.items[n-1]
 	h.items = h.items[:n-1]
 	return it
+}
+
+// offerRows offers each row keep accepts, in order, as the Result of
+// ids[r] and scores[r], and returns how many it offered. A row scoring
+// below a full heap's root cannot beat it (see beats), so it is counted
+// but builds no Result.
+func (h *topK) offerRows(scores []float32, ids []string, keep func(id string) bool) uint64 {
+	ids = ids[:len(scores)]
+	var offered uint64
+	full, root := h.full()
+	for r, sc := range scores {
+		if keep != nil && !keep(ids[r]) {
+			continue
+		}
+		offered++
+		if full && sc < root {
+			continue
+		}
+		h.offer(Result{ID: ids[r], Score: sc})
+		full, root = h.full()
+	}
+	return offered
+}
+
+// full reports whether h holds k results and, if so, the root's score.
+func (h *topK) full() (bool, float32) {
+	if len(h.items) < h.k {
+		return false, 0
+	}
+	return true, h.items[0].Score
 }
 
 func (h *topK) offer(r Result) {

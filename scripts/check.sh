@@ -48,9 +48,13 @@ echo "== resilience stress under race (repeated runs)"
 # chances to surface.
 go test -race -count=3 ./internal/faults ./internal/resilient
 go test -race -count=3 -run 'SingleFlight|Parallel' ./internal/llm ./internal/semop
-# vecdb.Flat: Save racing Delete, concurrent Add/Search/Delete, and the
-# sharded scan against the serial one and the dense reference scan.
+# vecdb.Flat: Save racing Delete, concurrent Add/Search/Delete, searches
+# racing the seals of Add and Delete, and the sharded scan against the
+# serial one and the dense reference scan.
 go test -race -count=10 -run 'Flat' ./internal/vecdb
+# token.Tokenize against its builder-based oracle on generated strings,
+# valid UTF-8 or not, starting from the seed corpus in testdata/fuzz.
+go test -run '^$' -fuzz '^FuzzTokenize$' -fuzztime 10s ./internal/token
 # obs.WriteChrome renders chunks on several goroutines: the randomized
 # and reference comparisons at 1, 2 and 8 workers, and export racing
 # concurrent recording.
@@ -162,12 +166,21 @@ echo "== benchall serial vs parallel (fast subset, byte-identical)"
 # The full-set golden diff runs inside the test suite
 # (cmd/benchall/main_test.go); this end-to-end gate re-checks the built
 # binary on a fast experiment subset so a flag-wiring regression cannot
-# hide behind the in-process test.
+# hide behind the in-process test. On amd64 the serial output must also
+# equal those experiments' sections of the committed golden (other
+# architectures may fuse floating-point multiply-adds).
 subset="E1 E2 E5 E8 E11 E17 E19 E22 E23 E24 E25 E26"
 go build -o /tmp/dataai_benchall ./cmd/benchall
 /tmp/dataai_benchall $subset > /tmp/dataai_benchall_serial.txt
 /tmp/dataai_benchall -parallel 8 $subset > /tmp/dataai_benchall_par.txt
 diff /tmp/dataai_benchall_serial.txt /tmp/dataai_benchall_par.txt
-rm -f /tmp/dataai_benchall /tmp/dataai_benchall_serial.txt /tmp/dataai_benchall_par.txt
+if [ "$(go env GOARCH)" = amd64 ]; then
+    # A section runs from its "=== ID: title" line to the next one; the
+    # header comments before the first section are skipped.
+    awk -v ids=" $subset " '/^=== / {id = $2; sub(/:$/, "", id); keep = index(ids, " " id " ") > 0} keep' \
+        cmd/benchall/testdata/golden.txt > /tmp/dataai_benchall_golden.txt
+    diff /tmp/dataai_benchall_golden.txt /tmp/dataai_benchall_serial.txt
+fi
+rm -f /tmp/dataai_benchall /tmp/dataai_benchall_serial.txt /tmp/dataai_benchall_par.txt /tmp/dataai_benchall_golden.txt
 
 echo "OK"
