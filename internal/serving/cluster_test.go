@@ -84,7 +84,7 @@ func TestRouterTieBreakAtEqualScores(t *testing.T) {
 	}
 	for _, tc := range cases {
 		c := newBareCluster(tc.policy, 4)
-		if g := c.route(0, noAffinity, tc.exclude, false); g != tc.want {
+		if g := c.route(0, &noAffinity, tc.exclude, false); g != tc.want {
 			t.Errorf("%v exclude=%d picked %d, want %d", tc.policy, tc.exclude, g, tc.want)
 		}
 	}
@@ -92,7 +92,7 @@ func TestRouterTieBreakAtEqualScores(t *testing.T) {
 	c := newBareCluster(RoundRobin, 4)
 	got := []int{}
 	for i := 0; i < 5; i++ {
-		got = append(got, c.route(0, noAffinity, -1, false))
+		got = append(got, c.route(0, &noAffinity, -1, false))
 	}
 	if want := []int{0, 1, 2, 3, 0}; !reflect.DeepEqual(got, want) {
 		t.Errorf("round-robin order = %v, want %v", got, want)
@@ -103,7 +103,7 @@ func TestRouterTieBreakAtEqualScores(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		c.breakers[0].OnFailure(0)
 	}
-	if g := c.route(0, noAffinity, -1, false); g != 1 {
+	if g := c.route(0, &noAffinity, -1, false); g != 1 {
 		t.Errorf("breaker-aware with instance 0 open picked %d, want 1", g)
 	}
 }
@@ -208,10 +208,12 @@ func TestCrashDropsAndReroutesInFlightSequences(t *testing.T) {
 	// The pool zeroes a sequence when it finishes, so capture the
 	// dropped state at drop time, not after the run.
 	dropped, droppedGen := 0, 0
-	a.onDrop = func(now float64, s *seqState) {
-		dropped++
-		droppedGen = s.generated
-		b.arrive(now, s) // immediate re-route for the test
+	a.onDrop = func(now float64, lost []*seqState) {
+		for _, s := range lost {
+			dropped++
+			droppedGen = s.generated
+			b.arrive(now, s) // immediate re-route for the test
+		}
 	}
 	req := workload.Request{ID: "r1", PromptTokens: 200, OutputTokens: 20, ArrivalMS: 0}
 	eng.At(0, func(now float64) { a.arrive(now, pool.get(req)) })

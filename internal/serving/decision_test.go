@@ -72,7 +72,7 @@ func TestScoredCacheAwareMatchesLeastLoaded(t *testing.T) {
 				c.insts[i].load = l
 			}
 			want := c.leastLoaded(exclude)
-			if got := c.route(0, noAffinity, exclude, false); got != want {
+			if got := c.route(0, &noAffinity, exclude, false); got != want {
 				t.Errorf("loads %v exclude %d: scored picked %d, leastLoaded %d",
 					loads, exclude, got, want)
 			}
@@ -86,7 +86,7 @@ func TestRankedInstanceOrder(t *testing.T) {
 		c.insts[i].load = l
 	}
 	r := workload.Request{ID: "r", PromptTokens: 100, OutputTokens: 10}
-	c.scoreInstances(0, r, -1)
+	c.scoreInstances(0, &r, -1)
 	// Scores 5,3,9,3 → ranks: 1, 3 (tie to lower index), 0, 2.
 	want := []int{1, 3, 0, 2}
 	for k := 1; k <= 6; k++ {
@@ -108,7 +108,7 @@ func TestRouteZeroAllocWhenDecisionsOff(t *testing.T) {
 	for _, policy := range []RouterPolicy{RoundRobin, CacheAware, BreakerAware} {
 		c := newBareCluster(policy, 4)
 		allocs := testing.AllocsPerRun(200, func() {
-			c.route(0, r, -1, false)
+			c.route(0, &r, -1, false)
 		})
 		if allocs != 0 {
 			t.Errorf("%v: route allocates %.1f/op with decisions off, want 0", policy, allocs)

@@ -42,6 +42,9 @@ func RunColocated(gpu GPUConfig, reqs []workload.Request, n int, opts Continuous
 	if n < 1 {
 		return nil, fmt.Errorf("%w: gpus %d", ErrConfig, n)
 	}
+	if opts.ChunkTokens < 0 {
+		return nil, fmt.Errorf("%w: chunk tokens %d", ErrConfig, opts.ChunkTokens)
+	}
 	ordered := arrivalOrder(reqs)
 
 	eng := sim.NewEngine()

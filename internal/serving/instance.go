@@ -29,6 +29,17 @@ import (
 // events fail the epoch check before reading anything), the waiting and
 // prefill queues are ring deques, and sequences come from a free-listed
 // pool (seqpool.go).
+//
+// In reserve-full mode a decode step costs O(1), plus O(log n) for each
+// sequence that finishes in it, plus one O(len(running)) compaction of
+// the batch on steps where something finishes, instead of a visit per
+// running sequence on every step: the instance counts its steps, a
+// running sequence records the count it joined at, and its generated
+// count and finish time are brought up to date only where they are read
+// (sync). Finishers come off a min-heap keyed by the step of their last
+// token. OnDemand mode
+// must grow every sequence's KV each step, so it keeps a pass over the
+// batch (decodeOnDemand) and its sequences are always current.
 type instance struct {
 	id   int
 	gpu  GPUConfig
@@ -40,6 +51,14 @@ type instance struct {
 	waiting  seqRing
 	prefillQ seqRing
 	running  []*seqState
+
+	// steps counts the reserve-full decode steps applied, and stepMS is
+	// the end time of the last one. fin holds one entry per join to
+	// running, keyed by (step of the last token, join stamp); entries of
+	// sequences that left early are stale and skipped when popped.
+	steps  int
+	stepMS float64
+	fin    finHeap
 
 	// load is the incrementally maintained sum of seqLoad over every
 	// sequence the instance owns (waiting + prefillQ + running). The
@@ -98,14 +117,17 @@ type instance struct {
 
 	// onFinish receives every completed sequence's Result.
 	onFinish func(now float64, r Result)
-	// onDrop receives sequences lost to a crash, for the cluster router
-	// to re-route; nil means standalone runs, which never crash.
-	onDrop func(now float64, s *seqState)
+	// onDrop receives the sequences lost to a crash, in drop order, for
+	// the cluster router to re-route; nil means standalone runs, which
+	// never crash.
+	onDrop func(now float64, dropped []*seqState)
 }
 
 // newInstance builds an idle instance on eng. A nil opts.KV gets a
-// private paged allocator, mirroring RunContinuous's default. pool (may
-// be nil) recycles finished sequences.
+// private paged allocator, mirroring RunContinuous's default. pool
+// recycles finished sequences and issues the run's join stamps; it is
+// shared by every instance of a run, and may be nil only for an
+// instance that never serves.
 func newInstance(id int, gpu GPUConfig, opts ContinuousOpts, eng *sim.Engine, pool *seqPool, onFinish func(float64, Result)) *instance {
 	kv := opts.KV
 	if kv == nil {
@@ -127,6 +149,47 @@ func newInstance(id int, gpu GPUConfig, opts ContinuousOpts, eng *sim.Engine, po
 }
 
 func (in *instance) active() int { return in.prefillQ.Len() + len(in.running) }
+
+// join appends s, which has emitted its first token and has more to
+// emit, to the running batch. In reserve-full mode s records the step
+// count it is current at and a fresh stamp from the run's pool, and is
+// queued on the finish heap under the step of its last token.
+func (in *instance) join(now float64, s *seqState) {
+	in.tracePhase(now, s, "decode")
+	in.running = append(in.running, s)
+	if in.opts.OnDemand {
+		return
+	}
+	in.pool.stamps++
+	s.stamp = in.pool.stamps
+	s.joinStep = in.steps
+	in.fin.push(finEntry{step: in.steps + s.req.OutputTokens - s.generated, stamp: s.stamp, s: s})
+}
+
+// generatedNow is a running sequence's generated count as of the
+// instance's last decode step, without writing it back.
+func (in *instance) generatedNow(s *seqState) int {
+	return s.generated + in.steps - s.joinStep
+}
+
+// sync brings a running sequence's generated count and finish time up
+// to the instance's last decode step. It is a no-op in OnDemand mode,
+// where steps stays zero.
+func (in *instance) sync(s *seqState) {
+	if d := in.steps - s.joinStep; d > 0 {
+		s.generated += d
+		s.finishMS = in.stepMS
+		s.joinStep = in.steps
+	}
+}
+
+// leave syncs a running sequence that is leaving the batch before its
+// last token (migration, slot preemption, crash) and voids its finish
+// heap entry.
+func (in *instance) leave(s *seqState) {
+	in.sync(s)
+	s.stamp = 0
+}
 
 // seqLoad is one sequence's outstanding token work: remaining prefill
 // plus remaining decode.
@@ -386,6 +449,7 @@ func (in *instance) step(now float64) {
 			in.sinceCkpt = 0
 			delta := 0
 			for _, rs := range in.running {
+				in.sync(rs)
 				delta += in.rec.save(rs, rs.req.PromptTokens+rs.generated)
 			}
 			if delta > 0 {
@@ -476,24 +540,144 @@ func (in *instance) endPrefill(now float64, s *seqState) {
 		in.finish(now, s)
 	} else {
 		in.load += seqLoad(s) - before
-		in.tracePhase(now, s, "decode")
-		in.running = append(in.running, s)
+		in.join(now, s)
 	}
 	in.step(now)
 }
 
-// endMixed applies a mixed iteration's decode step, including OnDemand
-// growth and all-or-nothing preemption, then the completing prefill's
-// first token. Preemption marks are per-pass: preempt sets the
-// sequence's preempted flag and the next successful admission clears it,
-// so a sequence marked by an earlier index of this loop is skipped for
-// the rest of the pass — exactly the per-call set the historical code
-// kept (without its per-iteration map allocation).
+// endMixed applies a mixed iteration's decode step, then the completing
+// prefill's first token.
 func (in *instance) endMixed(now float64, completing bool) {
 	var comp *seqState
 	if completing {
 		comp = in.prefillQ.PopFront()
 	}
+	if in.opts.OnDemand {
+		in.decodeOnDemand(now)
+	} else {
+		in.decodeStep(now)
+	}
+	if comp != nil && !comp.preempted {
+		before := seqLoad(comp)
+		if comp.generated == 0 {
+			comp.generated = 1
+			comp.firstTokenMS = now
+		}
+		comp.finishMS = now
+		if comp.req.OutputTokens <= comp.generated {
+			in.load -= before
+			in.finish(now, comp)
+		} else {
+			in.load += seqLoad(comp) - before
+			in.join(now, comp)
+		}
+	}
+	in.step(now)
+}
+
+// decodeStep applies one reserve-full decode step to the running batch
+// without visiting it. Every running sequence has prefillLeft == 0 and
+// at least one token left, so each one's seqLoad falls by exactly one:
+// the load falls by len(running). The sequences whose last token this
+// step emits come off the finish heap in (step, stamp) order, and stamp
+// order is running-slice order (joins append, removals keep the
+// relative order), so they finish in the order a pass over the batch
+// would finish them. running is compacted after the last finish, so the
+// trace's depth gauge still counts the batch the step ran.
+func (in *instance) decodeStep(now float64) {
+	in.steps++
+	in.stepMS = now
+	in.load -= len(in.running)
+	finished := false
+	for len(in.fin) > 0 && in.fin[0].step <= in.steps {
+		e := in.fin.pop()
+		if e.s.stamp != e.stamp {
+			continue // left the batch early, or rejoined since
+		}
+		in.sync(e.s)
+		e.s.stamp = 0
+		finished = true
+		in.finish(now, e.s)
+	}
+	if !finished {
+		return
+	}
+	kept := in.running[:0]
+	for _, s := range in.running {
+		if s.stamp != 0 {
+			kept = append(kept, s)
+		}
+	}
+	clear(in.running[len(kept):])
+	in.running = kept
+}
+
+// finEntry is one join to an instance's running batch: the step at
+// which the sequence emits its last token, and the join's stamp. The
+// entry is live while s.stamp == stamp.
+type finEntry struct {
+	step  int
+	stamp uint64
+	s     *seqState
+}
+
+// finHeap is a min-heap of finEntry ordered by (step, stamp), typed like
+// sim's overflowHeap so a push boxes nothing.
+type finHeap []finEntry
+
+func finLess(a, b finEntry) bool {
+	return a.step < b.step || (a.step == b.step && a.stamp < b.stamp)
+}
+
+func (h *finHeap) push(e finEntry) {
+	*h = append(*h, e)
+	s := *h
+	i := len(s) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !finLess(s[i], s[parent]) {
+			break
+		}
+		s[i], s[parent] = s[parent], s[i]
+		i = parent
+	}
+}
+
+func (h *finHeap) pop() finEntry {
+	s := *h
+	n := len(s) - 1
+	top := s[0]
+	s[0] = s[n]
+	s = s[:n]
+	*h = s
+	i := 0
+	for {
+		l, r := 2*i+1, 2*i+2
+		min := i
+		if l < n && finLess(s[l], s[min]) {
+			min = l
+		}
+		if r < n && finLess(s[r], s[min]) {
+			min = r
+		}
+		if min == i {
+			break
+		}
+		s[i], s[min] = s[min], s[i]
+		i = min
+	}
+	return top
+}
+
+// decodeOnDemand applies one OnDemand decode step, a pass over the
+// running batch: each sequence emits a token and grows its KV by it,
+// and KV exhaustion preempts all-or-nothing. Preemption marks are
+// per-pass: preempt sets the sequence's preempted flag and the next
+// successful admission clears it, so a sequence marked by an earlier
+// index of this loop is skipped for the rest of the pass — exactly the
+// per-call set the historical code kept (without its per-iteration map
+// allocation).
+func (in *instance) decodeOnDemand(now float64) {
 	stillRunning := in.running[:0]
 	for idx, s := range in.running {
 		if s.preempted {
@@ -508,52 +692,33 @@ func (in *instance) endMixed(now float64, completing bool) {
 			continue
 		}
 		in.load += seqLoad(s) - before
-		if in.opts.OnDemand {
-			ok := true
-			for !in.kv.Extend(s.kvh, s.req.PromptTokens-s.saved+s.generated) {
-				// Victim: the most recently admitted running sequence
-				// that is not s and not already preempted.
-				var victim *seqState
-				for j := len(in.running) - 1; j > idx; j-- {
-					if !in.running[j].preempted {
-						victim = in.running[j]
-						break
-					}
-				}
-				if victim == nil {
-					// No lower-priority sequence to evict: all-or-nothing
-					// now applies to s itself — free everything it holds
-					// and recompute it later.
-					in.preempt(now, s)
-					ok = false
+		ok := true
+		for !in.kv.Extend(s.kvh, s.req.PromptTokens-s.saved+s.generated) {
+			// Victim: the most recently admitted running sequence that
+			// is not s and not already preempted.
+			var victim *seqState
+			for j := len(in.running) - 1; j > idx; j-- {
+				if !in.running[j].preempted {
+					victim = in.running[j]
 					break
 				}
-				in.preempt(now, victim)
 			}
-			if !ok {
-				continue
+			if victim == nil {
+				// No lower-priority sequence to evict: all-or-nothing
+				// now applies to s itself — free everything it holds
+				// and recompute it later.
+				in.preempt(now, s)
+				ok = false
+				break
 			}
+			in.preempt(now, victim)
+		}
+		if !ok {
+			continue
 		}
 		stillRunning = append(stillRunning, s)
 	}
 	in.running = stillRunning
-	if comp != nil && !comp.preempted {
-		before := seqLoad(comp)
-		if comp.generated == 0 {
-			comp.generated = 1
-			comp.firstTokenMS = now
-		}
-		comp.finishMS = now
-		if comp.req.OutputTokens <= comp.generated {
-			in.load -= before
-			in.finish(now, comp)
-		} else {
-			in.load += seqLoad(comp) - before
-			in.tracePhase(now, comp, "decode")
-			in.running = append(in.running, comp)
-		}
-	}
-	in.step(now)
 }
 
 // crash drops the instance: every owned sequence (in-flight first, then
@@ -585,10 +750,12 @@ func (in *instance) crash(now float64) {
 		dropped = append(dropped, s)
 	}
 	for _, s := range in.running {
+		in.leave(s)
 		in.kvRelease(s)
 		s.crashDropped, s.droppedAtMS = true, now
 		dropped = append(dropped, s)
 	}
+	in.fin = in.fin[:0]
 	in.sinceCkpt = 0
 	for i := 0; i < in.waiting.Len(); i++ {
 		dropped = append(dropped, in.waiting.At(i)) // never admitted: hold no KV
@@ -617,9 +784,9 @@ func (in *instance) crash(now float64) {
 		// The reroute hop spans detection delay + routing; it closes when
 		// the sequence arrives at its next instance.
 		in.tracePhase(now, s, "reroute")
-		if in.onDrop != nil {
-			in.onDrop(now, s)
-		}
+	}
+	if in.onDrop != nil && len(dropped) > 0 {
+		in.onDrop(now, dropped)
 	}
 	if in.trace != nil {
 		in.traceDepth(now)
@@ -654,14 +821,14 @@ func (in *instance) setSlowdown(factor float64) {
 func scheduleArrivals(eng *sim.Engine, gpu GPUConfig, reqs []workload.Request, inst *instance, pool *seqPool, reject func(Result)) {
 	capacityTokens := inst.kv.Capacity() * gpu.BlockSize
 	deliver := func(now float64, i uint64) {
-		r := reqs[i]
+		r := &reqs[i]
 		footprint := r.PromptTokens + r.OutputTokens
 		if footprint > capacityTokens || footprint > gpu.MaxSeqLen {
-			traceRejectArrival(inst.trace, now, r)
-			reject(Result{Req: r, Rejected: true})
+			traceRejectArrival(inst.trace, now, *r)
+			reject(Result{Req: *r, Rejected: true})
 			return
 		}
-		inst.arrive(now, pool.get(r))
+		inst.arrive(now, pool.get(*r))
 	}
 	eng.Stream(len(reqs), func(i int) float64 { return reqs[i].ArrivalMS }, deliver)
 }

@@ -93,7 +93,7 @@ func (c *cluster) migrateScan(now float64) {
 		var v *seqState
 		vLeft := 0
 		for _, s := range d.running {
-			left := s.req.OutputTokens - s.generated
+			left := s.req.OutputTokens - d.generatedNow(s)
 			if left < c.rec.cfg.migrateMinTokens() {
 				continue
 			}
@@ -118,6 +118,7 @@ func (c *cluster) migrate(now float64, from, to int, v *seqState) {
 	if !d.removeRunning(v) {
 		return
 	}
+	d.leave(v)
 	d.load -= seqLoad(v)
 	d.kvRelease(v)
 	ctx := v.req.PromptTokens + v.generated

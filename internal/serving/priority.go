@@ -80,9 +80,9 @@ func (in *instance) nextWaiting() int {
 // preemptForSlot evicts one batch-class running sequence — the most
 // recently admitted, mirroring OnDemand's victim order — to make room
 // for an interactive admission. The victim leaves the running slice
-// immediately (unlike decode-time preemption, which endMixed's rebuild
-// handles), so active() and the next iteration's decode width are
-// correct for the caller's retry. Returns false when no batch sequence
+// immediately (unlike decode-time preemption, which decodeOnDemand's
+// rebuild handles), so active() and the next iteration's decode width
+// are correct for the caller's retry. Returns false when no batch sequence
 // is running.
 func (in *instance) preemptForSlot(now float64) bool {
 	for j := len(in.running) - 1; j >= 0; j-- {
@@ -93,6 +93,7 @@ func (in *instance) preemptForSlot(now float64) bool {
 		copy(in.running[j:], in.running[j+1:])
 		in.running[len(in.running)-1] = nil
 		in.running = in.running[:len(in.running)-1]
+		in.leave(v)
 		in.preempt(now, v)
 		return true
 	}

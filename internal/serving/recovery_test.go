@@ -21,7 +21,9 @@ func recoveryArms() map[string]RecoveryConfig {
 }
 
 // queueLoadScan recomputes an instance's queueLoad from scratch: the
-// reference the incremental load counter is tested against.
+// reference the incremental load counter is tested against. A running
+// sequence is read as of the instance's last decode step, on a copy, so
+// the scan changes nothing.
 func (in *instance) queueLoadScan() int {
 	load := 0
 	for i := 0; i < in.waiting.Len(); i++ {
@@ -31,7 +33,9 @@ func (in *instance) queueLoadScan() int {
 		load += seqLoad(in.prefillQ.At(i))
 	}
 	for _, s := range in.running {
-		load += seqLoad(s)
+		now := *s
+		now.generated = in.generatedNow(s)
+		load += seqLoad(&now)
 	}
 	return load
 }

@@ -229,7 +229,7 @@ func (c *cluster) traceBreaker(now float64, i int) {
 
 // affinity returns the instance a request's prefix or session hashes to,
 // or -1 when it has neither.
-func (c *cluster) affinity(r workload.Request) int {
+func (c *cluster) affinity(r *workload.Request) int {
 	n := len(c.insts)
 	if r.PrefixID != "" {
 		return int(token.Hash64(r.PrefixID) % uint64(n))
@@ -252,7 +252,7 @@ func (c *cluster) affinity(r workload.Request) int {
 // — shared with obs.Decision.Ranked — is what lets a counterfactual
 // replay force rank-k alternatives without ever disagreeing with live
 // routing on ties.
-func (c *cluster) route(now float64, r workload.Request, exclude int, held bool) int {
+func (c *cluster) route(now float64, r *workload.Request, exclude int, held bool) int {
 	c.scoreInstances(now, r, exclude)
 	chosen := 0
 	for i := 1; i < len(c.scores); i++ {
@@ -287,7 +287,7 @@ func (c *cluster) route(now float64, r workload.Request, exclude int, held bool)
 // the historical path never made would perturb breaker accounting. Its
 // Breaker field records -1, unconsulted — as does every candidate's
 // under the policies that never read breakers.
-func (c *cluster) scoreInstances(now float64, r workload.Request, exclude int) {
+func (c *cluster) scoreInstances(now float64, r *workload.Request, exclude int) {
 	n := len(c.insts)
 	switch c.policy {
 	case CacheAware:
@@ -379,7 +379,7 @@ func (c *cluster) rankedInstance(k int) int {
 // recordDecision copies the score vector into the decision log (no-op
 // without one). chosen is the instance actually routed to — under
 // forcing, the forced alternative.
-func (c *cluster) recordDecision(now float64, r workload.Request, exclude int, held bool, chosen int) {
+func (c *cluster) recordDecision(now float64, r *workload.Request, exclude int, held bool, chosen int) {
 	if c.dlog == nil {
 		return
 	}
@@ -478,6 +478,9 @@ func runRoutedCluster(gpu GPUConfig, reqs []workload.Request, n int, policy Rout
 	if n < 1 {
 		return nil, nil, fmt.Errorf("%w: instances %d", ErrConfig, n)
 	}
+	if opts.ChunkTokens < 0 {
+		return nil, nil, fmt.Errorf("%w: chunk tokens %d", ErrConfig, opts.ChunkTokens)
+	}
 	ordered := arrivalOrder(reqs)
 
 	hasSessions := false
@@ -548,20 +551,26 @@ func runRoutedCluster(gpu GPUConfig, reqs []workload.Request, n int, policy Rout
 			c.pending--
 		})
 		c.insts[i].rec = c.rec
-		c.insts[i].onDrop = func(now float64, s *seqState) {
-			// The router learns of the loss a detection delay later and
-			// re-routes the sequence away from the crashed instance.
+		c.insts[i].onDrop = func(now float64, dropped []*seqState) {
+			// The router learns of the losses a detection delay later and
+			// re-routes the sequences, in drop order, away from the
+			// crashed instance. One event carries the whole crash: the
+			// per-sequence events it replaces had consecutive seqs at one
+			// instant, so nothing fired between them, and whatever they
+			// scheduled fired after all of them.
 			c.eng.At(now+plan.detectMS(), func(t float64) {
-				c.breakers[i].OnFailure(t)
-				c.traceBreaker(t, i)
-				c.rerouted++
-				g := c.route(t, s.req, i, false)
-				if c.trace != nil {
-					c.trace.Instant(t, "router", "reroute", c.rerouteAttrs(i, g)...)
-					c.trace.Registry().Counter("router/reroute_crash").Add(t, 1)
+				for _, s := range dropped {
+					c.breakers[i].OnFailure(t)
+					c.traceBreaker(t, i)
+					c.rerouted++
+					g := c.route(t, &s.req, i, false)
+					if c.trace != nil {
+						c.trace.Instant(t, "router", "reroute", c.rerouteAttrs(i, g)...)
+						c.trace.Registry().Counter("router/reroute_crash").Add(t, 1)
+					}
+					c.insts[g].arrive(t, s)
+					c.traceDecision(s, g)
 				}
-				c.insts[g].arrive(t, s)
-				c.traceDecision(s, g)
 			})
 		}
 	}
@@ -569,32 +578,33 @@ func runRoutedCluster(gpu GPUConfig, reqs []workload.Request, n int, policy Rout
 	// One shared ArgHandler delivers every arrival; the event argument is
 	// the request's index in the ordered trace, so scheduling n arrivals
 	// allocates one closure instead of n, and the engine streams them,
-	// keeping one queued at a time.
+	// keeping one queued at a time. The router reads each request in
+	// place; only the sequence the pool hands out copies it.
 	capacityTokens := gpu.KVBlocks * gpu.BlockSize
 	// deliverHeld lands a request the admission controller reserved a
 	// refill window for; deliver runs first, at the arrival instant.
 	deliverHeld := func(now float64, idx uint64) {
-		r := ordered[idx]
+		r := &ordered[idx]
 		c.adm.delivered(now, r.Tenant)
 		g := c.route(now, r, -1, true)
-		s := c.pool.get(r)
+		s := c.pool.get(*r)
 		c.insts[g].arrive(now, s)
 		c.traceDecision(s, g)
 	}
 	deliver := func(now float64, idx uint64) {
-		r := ordered[idx]
+		r := &ordered[idx]
 		footprint := r.PromptTokens + r.OutputTokens
 		if footprint > capacityTokens || footprint > gpu.MaxSeqLen {
-			traceRejectArrival(c.trace, now, r)
-			c.results = append(c.results, Result{Req: r, Rejected: true})
+			traceRejectArrival(c.trace, now, *r)
+			c.results = append(c.results, Result{Req: *r, Rejected: true})
 			c.pending--
 			return
 		}
 		if c.adm != nil {
-			delay, ok := c.adm.decide(now, r)
+			delay, ok := c.adm.decide(now, *r)
 			if !ok {
-				traceRejectArrival(c.trace, now, r)
-				c.results = append(c.results, Result{Req: r, Rejected: true})
+				traceRejectArrival(c.trace, now, *r)
+				c.results = append(c.results, Result{Req: *r, Rejected: true})
 				c.pending--
 				return
 			}
@@ -604,7 +614,7 @@ func runRoutedCluster(gpu GPUConfig, reqs []workload.Request, n int, policy Rout
 			}
 		}
 		g := c.route(now, r, -1, false)
-		s := c.pool.get(r)
+		s := c.pool.get(*r)
 		c.insts[g].arrive(now, s)
 		c.traceDecision(s, g)
 	}

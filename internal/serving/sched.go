@@ -27,13 +27,21 @@ type seqState struct {
 	prefillLeft int
 	// prefilled is the number actually prefilled (after cache savings).
 	prefilled int
-	// generated counts emitted output tokens.
+	// generated counts emitted output tokens. While the sequence runs
+	// on a reserve-full instance, generated and finishMS are current as
+	// of that instance's decode step joinStep; instance.sync brings them
+	// up to date.
 	generated    int
 	firstTokenMS float64
 	finishMS     float64
-	admitted     bool
+	joinStep     int
+	// stamp is the run-unique stamp of the sequence's join to a
+	// reserve-full running batch, carried by its finish-heap entry; 0
+	// while it is not running there.
+	stamp    uint64
+	admitted bool
 	// preempted marks a sequence evicted during the current iteration
-	// pass (endMixed); the next successful admission clears it.
+	// pass (decodeOnDemand); the next successful admission clears it.
 	preempted bool
 	// saved is the prompt span satisfied from a prefix/session cache.
 	saved int

@@ -28,6 +28,10 @@ type seqPool struct {
 	// or was reported rejected and pooled by the drain loop. The
 	// post-drain invariant test pins this alongside KV occupancy.
 	outstanding int
+	// stamps issues join stamps (instance.join). Every instance of a run
+	// shares the run's pool, so a stamp names one join across the run
+	// and a finish-heap entry stays stale after its sequence moves on.
+	stamps uint64
 }
 
 // get returns a zeroed seqState carrying req.

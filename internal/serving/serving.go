@@ -23,6 +23,7 @@ package serving
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"dataai/internal/metrics"
 	"dataai/internal/workload"
@@ -68,14 +69,19 @@ func DefaultGPU() GPUConfig {
 	}
 }
 
-// Validate checks the configuration.
+// Validate checks the configuration. The float fields must be finite:
+// a NaN fails every ordered comparison, so it would pass the range
+// tests and run a simulation of NaN times.
 func (g GPUConfig) Validate() error {
-	if g.PrefillTokensPerMS <= 0 || g.DecodeBaseMS <= 0 || g.DecodeMSPerSeq < 0 ||
+	if !finite(g.PrefillTokensPerMS) || !finite(g.DecodeBaseMS) || !finite(g.DecodeMSPerSeq) ||
+		g.PrefillTokensPerMS <= 0 || g.DecodeBaseMS <= 0 || g.DecodeMSPerSeq < 0 ||
 		g.KVBlocks <= 0 || g.BlockSize <= 0 || g.MaxSeqLen <= 0 {
 		return fmt.Errorf("%w: %+v", ErrConfig, g)
 	}
 	return nil
 }
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // prefillMS is the time to prefill n tokens.
 func (g GPUConfig) prefillMS(n int) float64 {

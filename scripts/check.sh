@@ -59,6 +59,10 @@ go test -run '^$' -fuzz '^FuzzTokenize$' -fuzztime 10s ./internal/token
 # and reference comparisons at 1, 2 and 8 workers, and export racing
 # concurrent recording.
 go test -race -count=10 -run 'WriteChrome|ConcurrentRecord' ./internal/obs
+# The serving decode step's oracles: the decode grid's digests (every
+# seventh config under -short), the closed-form decode schedule, and
+# invalid configurations failing with ErrConfig under a deadline.
+go test -race -short -count=1 -run 'TestDecodeGridDigests|TestDecodeClosedForm|TestBadConfigsFailFast' ./internal/serving
 
 echo "== servesim smoke (routed cluster end-to-end)"
 # One routed run with faults exercises the whole serving stack from the
