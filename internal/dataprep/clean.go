@@ -12,13 +12,16 @@ import (
 	"strings"
 
 	"dataai/internal/llm/ngram"
+	"dataai/internal/par"
 	"dataai/internal/token"
 )
 
 // ErrNoDocs indicates an operation over an empty document list.
 var ErrNoDocs = errors.New("dataprep: no documents")
 
-// Filter decides whether a document is kept.
+// Filter decides whether a document is kept. Implementations must be
+// safe for concurrent use: ApplyFilters calls Keep on several documents
+// at once. Every filter in this package is read-only once built.
 type Filter interface {
 	// Keep reports whether text passes the filter. Reason describes a
 	// rejection (empty when kept).
@@ -183,18 +186,32 @@ type FilterReport struct {
 // ApplyFilters runs docs through filters in order (cheap rules first by
 // convention) and returns the surviving texts with a report.
 func ApplyFilters(docs []string, filters ...Filter) ([]string, FilterReport) {
-	rep := FilterReport{ByFilter: make(map[string]int)}
-	var kept []string
-outer:
-	for _, d := range docs {
-		for _, f := range filters {
-			if ok, _ := f.Keep(d); !ok {
-				rep.Dropped++
-				rep.ByFilter[f.Name()]++
-				continue outer
+	return applyFilters(docs, par.DefaultWorkers(), filters...)
+}
+
+// applyFilters is ApplyFilters on up to workers goroutines. Which filter
+// first rejects a document depends on that document alone, so each
+// document's is found in parallel; the tally then walks the documents
+// in order, so the kept texts and the report match a serial pass at any
+// worker count.
+func applyFilters(docs []string, workers int, filters ...Filter) ([]string, FilterReport) {
+	rejectedBy := par.Map(len(docs), workers, func(i int) int {
+		for j, f := range filters {
+			if ok, _ := f.Keep(docs[i]); !ok {
+				return j
 			}
 		}
-		kept = append(kept, d)
+		return -1
+	})
+	rep := FilterReport{ByFilter: make(map[string]int)}
+	var kept []string
+	for i, j := range rejectedBy {
+		if j >= 0 {
+			rep.Dropped++
+			rep.ByFilter[filters[j].Name()]++
+			continue
+		}
+		kept = append(kept, docs[i])
 		rep.Kept++
 	}
 	return kept, rep

@@ -1,10 +1,12 @@
 package dataprep
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"dataai/internal/corpus"
+	"dataai/internal/embed"
 )
 
 func testCorpus(t *testing.T, seed int64) *corpus.Corpus {
@@ -147,5 +149,75 @@ func TestFilteringImprovesModelQuality(t *testing.T) {
 	ppFiltered := trainAndScore(t, filtered, heldOut)
 	if ppFiltered >= ppRaw {
 		t.Errorf("filtered ppl %v >= raw %v", ppFiltered, ppRaw)
+	}
+}
+
+// applyFiltersReference is ApplyFilters as a serial loop, as the package
+// shipped it before the filters ran on several goroutines. It is the
+// oracle for TestApplyFiltersMatchesSerial.
+func applyFiltersReference(docs []string, filters ...Filter) ([]string, FilterReport) {
+	rep := FilterReport{ByFilter: make(map[string]int)}
+	var kept []string
+outer:
+	for _, d := range docs {
+		for _, f := range filters {
+			if ok, _ := f.Keep(d); !ok {
+				rep.Dropped++
+				rep.ByFilter[f.Name()]++
+				continue outer
+			}
+		}
+		kept = append(kept, d)
+		rep.Kept++
+	}
+	return kept, rep
+}
+
+// TestApplyFiltersMatchesSerial compares the kept texts and the whole
+// FilterReport of applyFilters at 1, 2 and 8 workers with the serial
+// loop, for the package's four filters alone, chained in two orders,
+// and for no filter and no document.
+func TestApplyFiltersMatchesSerial(t *testing.T) {
+	c := testCorpus(t, 97)
+	docs := c.Texts()
+	var clean, noisy []string
+	for _, d := range c.Docs {
+		switch d.Kind {
+		case corpus.Clean:
+			clean = append(clean, d.Text)
+		case corpus.Noisy, corpus.Boilerplate:
+			noisy = append(noisy, d.Text)
+		}
+	}
+	perplexity, err := NewPerplexityFilter(clean[:100], 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	classifier, err := FitClassifierFilter(embed.NewHashEmbedder(embed.DefaultDim), clean[:60], noisy[:15])
+	if err != nil {
+		t.Fatal(err)
+	}
+	heuristic, toxicity := DefaultHeuristicFilter(), ToxicityFilter{Lexicon: c.ToxicLexicon}
+	chains := [][]Filter{
+		{heuristic}, {toxicity}, {perplexity}, {classifier},
+		{heuristic, toxicity, perplexity, classifier},
+		{classifier, perplexity, toxicity, heuristic},
+		nil,
+	}
+	for ci, chain := range chains {
+		for _, in := range [][]string{docs, nil} {
+			wantKept, wantRep := applyFiltersReference(in, chain...)
+			if len(chain) == 1 && len(in) > 0 && (wantRep.Dropped == 0 || wantRep.Kept == 0) {
+				t.Fatalf("chain %d: %s kept %d and dropped %d; the comparison is vacuous",
+					ci, chain[0].Name(), wantRep.Kept, wantRep.Dropped)
+			}
+			for _, workers := range []int{1, 2, 8} {
+				kept, rep := applyFilters(in, workers, chain...)
+				if !reflect.DeepEqual(kept, wantKept) || !reflect.DeepEqual(rep, wantRep) {
+					t.Errorf("chain %d, %d docs, %d workers: kept %d %+v, serial kept %d %+v",
+						ci, len(in), workers, len(kept), rep, len(wantKept), wantRep)
+				}
+			}
+		}
 	}
 }

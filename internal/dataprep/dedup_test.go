@@ -381,14 +381,45 @@ func BenchmarkParDedup(b *testing.B) {
 	}
 }
 
+// signatureReference is MinHasher.Signature as the package shipped it
+// before the four-function kernel: every shingle folds into every slot,
+// each hash function's constant worked out again per shingle. It is the
+// oracle for Signature (TestSignatureMatchesReference) and the
+// signatures dedupReference bands.
+func signatureReference(m *MinHasher, text string) []uint64 {
+	toks := token.Tokenize(text)
+	n := m.ShingleSize
+	if len(toks) < n {
+		n = 1
+	}
+	shingles := token.HashNGrams(toks, n)
+	sig := make([]uint64, m.NumHashes)
+	for i := range sig {
+		sig[i] = ^uint64(0)
+	}
+	for _, sh := range shingles {
+		for i := 0; i < m.NumHashes; i++ {
+			// Universal-ish hash family: mix shingle hash with per-
+			// function constant derived from the seed.
+			h := mix(sh ^ (m.seed + uint64(i)*0x9e3779b97f4a7c15))
+			if h < sig[i] {
+				sig[i] = h
+			}
+		}
+	}
+	return sig
+}
+
 // dedupReference is MinHasher.Dedup as the package shipped it before
 // band keys were rendered with strconv: each band key is fmt.Sprint of
 // the band, and each band's groups are map buckets filled in document
-// order. It is the oracle for Dedup (TestDedupMatchesReference).
+// order. Its signatures come from signatureReference, so it shares no
+// code with the Dedup it checks but mix and the tokenizer. It is the
+// oracle for Dedup (TestDedupMatchesReference).
 func dedupReference(m *MinHasher, docs []string, threshold float64) (kept []string, removed []int) {
 	sigs := make([][]uint64, len(docs))
 	for i, d := range docs {
-		sigs[i] = m.Signature(d)
+		sigs[i] = signatureReference(m, d)
 	}
 	rows := m.NumHashes / m.Bands
 	parent := make([]int, len(docs))
@@ -536,6 +567,132 @@ func TestBandKeyMatchesSprint(t *testing.T) {
 		}
 		if h, w := token.Hash64SeedBytes(key[len(prefix):], 7), token.Hash64Seed(want, 7); h != w {
 			t.Errorf("band %v: hash %#x, fmt.Sprint's %#x", band, h, w)
+		}
+	}
+}
+
+// TestSignatureMatchesReference compares every slot of Signature with
+// signatureReference over the planted corpora, empty and sub-shingle
+// documents, and signature lengths on both sides of the four-function
+// kernel's groups.
+func TestSignatureMatchesReference(t *testing.T) {
+	docs := append(plantedCorpus(1, 200), plantedCorpus(2, 100)...)
+	docs = append(docs, "", "   ", "one", "one two", "one two three", "a b c d", "Punctuation, only! ?")
+	compared := 0
+	for _, numHashes := range []int{1, 3, 4, 5, 127, 128, 129} {
+		for _, shingle := range []int{1, 3, 5} {
+			m, err := NewMinHasher(numHashes, 1, shingle, uint64(numHashes*7+shingle))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range docs {
+				got, want := m.Signature(d), signatureReference(m, d)
+				if len(got) != len(want) {
+					t.Fatalf("hashes %d shingle %d doc %q: %d slots, reference %d", numHashes, shingle, d, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("hashes %d shingle %d doc %q slot %d: %#x, reference %#x", numHashes, shingle, d, i, got[i], want[i])
+					}
+				}
+				compared += len(want)
+			}
+		}
+	}
+	t.Logf("%d slots compared", compared)
+}
+
+// closedFormPair returns two documents of distinct tokens, unique to
+// trial, whose shingleSize-shingles are all distinct within each
+// document: a shared run of shared+shingleSize-1 tokens followed, in
+// each document, by its own onlyA or onlyB tokens. The shingles inside
+// the shared run are the only common ones, so the pair's Jaccard
+// similarity is exactly shared/(shared+onlyA+onlyB).
+func closedFormPair(trial, shared, onlyA, onlyB, shingleSize int) (a, b string) {
+	run := make([]string, shared+shingleSize-1)
+	for i := range run {
+		run[i] = fmt.Sprintf("t%dshared%d", trial, i)
+	}
+	tail := func(side string, n int) string {
+		words := append([]string(nil), run...)
+		for i := 0; i < n; i++ {
+			words = append(words, fmt.Sprintf("t%d%s%d", trial, side, i))
+		}
+		return strings.Join(words, " ")
+	}
+	return tail("a", onlyA), tail("b", onlyB)
+}
+
+// TestMinHashClosedForm checks Signature, EstimateJaccard and Dedup's
+// banding against the textbook closed forms (Leskovec, Rajaraman and
+// Ullman, Mining of Massive Datasets, ch. 3). Under min-wise
+// independent hashing each signature slot of two documents agrees with
+// probability equal to their Jaccard similarity s, so EstimateJaccard
+// is unbiased for s; with r = NumHashes/Bands rows per band and b bands
+// the pair becomes an LSH candidate with probability 1 − (1 − s^r)^b.
+//
+// Each configuration runs one pair per seed of a fixed set, so the test
+// is deterministic. A pair is a candidate exactly when Dedup at
+// threshold 0 removes its second document. The candidate count over T
+// trials is binomial, with standard deviation sqrt(T·p·(1−p)); the mean
+// estimate averages T·NumHashes slot agreements, with standard
+// deviation sqrt(s·(1−s)/(T·NumHashes)), the slots being independent
+// Bernoulli(s) draws. Both must land within four standard deviations of
+// the closed form.
+func TestMinHashClosedForm(t *testing.T) {
+	trials := 600
+	if testing.Short() {
+		trials = 200
+	}
+	const shingleSize = 3
+	cases := []struct {
+		numHashes, bands     int
+		shared, onlyA, onlyB int // s = shared / (shared + onlyA + onlyB)
+	}{
+		{128, 32, 20, 40, 40}, // s = 0.2, r = 4
+		{128, 32, 30, 35, 35}, // s = 0.3
+		{128, 32, 40, 30, 30}, // s = 0.4
+		{128, 32, 50, 25, 25}, // s = 0.5
+		{128, 32, 60, 10, 30}, // s = 0.6, unequal sides
+		{60, 20, 30, 35, 35},  // s = 0.3, r = 3
+		{60, 20, 50, 25, 25},  // s = 0.5, r = 3
+		{64, 8, 80, 10, 10},   // s = 0.8, r = 8
+	}
+	for _, c := range cases {
+		s := float64(c.shared) / float64(c.shared+c.onlyA+c.onlyB)
+		r := float64(c.numHashes / c.bands)
+		p := 1 - math.Pow(1-math.Pow(s, r), float64(c.bands))
+		candidates, estSum := 0, 0.0
+		for trial := 0; trial < trials; trial++ {
+			a, b := closedFormPair(trial, c.shared, c.onlyA, c.onlyB, shingleSize)
+			if trial == 0 {
+				if got := shingleJaccard(a, b, shingleSize); got != s {
+					t.Fatalf("pair Jaccard %v, want %v", got, s)
+				}
+			}
+			m, err := NewMinHasher(c.numHashes, c.bands, shingleSize, uint64(1000+trial))
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.Workers = 1
+			estSum += m.EstimateJaccard(m.Signature(a), m.Signature(b))
+			if _, removed := m.Dedup([]string{a, b}, 0); len(removed) == 1 {
+				candidates++
+			}
+		}
+		n := float64(trials)
+		rate, mean := float64(candidates)/n, estSum/n
+		rateBound := 4 * math.Sqrt(p*(1-p)/n)
+		meanBound := 4 * math.Sqrt(s*(1-s)/(n*float64(c.numHashes)))
+		t.Logf("hashes %d bands %d s %.2f: candidate rate %.3f (closed form %.3f ± %.3f), mean estimate %.4f (± %.4f)",
+			c.numHashes, c.bands, s, rate, p, rateBound, mean, meanBound)
+		if math.Abs(rate-p) > rateBound {
+			t.Errorf("hashes %d bands %d s %.2f: candidate rate %.3f, closed form %.3f ± %.3f",
+				c.numHashes, c.bands, s, rate, p, rateBound)
+		}
+		if math.Abs(mean-s) > meanBound {
+			t.Errorf("hashes %d bands %d s %.2f: mean estimate %.4f, want %.4f ± %.4f",
+				c.numHashes, c.bands, s, mean, s, meanBound)
 		}
 	}
 }

@@ -38,6 +38,9 @@ type Chunk struct {
 }
 
 // Chunker splits a document's text into retrieval units.
+// Implementations must be safe for concurrent use: rag's Ingest cuts
+// several documents at once. FixedChunker and SentenceChunker hold no
+// mutable state.
 type Chunker interface {
 	Chunk(text string) []string
 }

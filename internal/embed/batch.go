@@ -8,9 +8,9 @@ import "dataai/internal/par"
 // mutable state, so the worker count never changes any vector — only
 // how the same work is scheduled. workers <= 0 means GOMAXPROCS.
 //
-// This is the ingestion hot path: RAG pipelines and the data-lake
-// linker embed whole corpora before a single query runs, and each
-// Embed is independent of every other.
+// This is the ingestion hot path: rag's Ingest embeds each window of
+// chunks through it before a single query runs, and each Embed is
+// independent of every other.
 func EmbedBatch(e Embedder, texts []string, workers int) [][]float32 {
 	return par.Map(len(texts), workers, func(i int) []float32 {
 		return e.Embed(texts[i])

@@ -29,6 +29,9 @@ const DefaultDim = 256
 
 // Embedder converts text into fixed-dimension vectors. Implementations
 // must be deterministic: the same text always yields the same vector.
+// They must also be safe for concurrent use: EmbedBatch, and with it
+// rag's Ingest, embeds several texts at once. HashEmbedder holds no
+// mutable state.
 type Embedder interface {
 	// Embed returns the vector for text. The returned slice is owned by
 	// the caller.

@@ -17,6 +17,7 @@ import (
 	"dataai/internal/docstore"
 	"dataai/internal/embed"
 	"dataai/internal/llm"
+	"dataai/internal/par"
 	"dataai/internal/token"
 	"dataai/internal/vecdb"
 )
@@ -107,21 +108,62 @@ func New(client llm.Client, emb embed.Embedder, index vecdb.Index, opts ...Optio
 	return p, nil
 }
 
-// Ingest chunks, embeds, and indexes the documents.
+// Ingest chunks, embeds, and indexes the documents. The chunker and
+// the embedder run on several goroutines at once (both interfaces
+// require implementations safe for that); the store and the index are
+// written in document order, as one document at a time would write
+// them. On an error the store and index hold exactly what that serial
+// order would have left: every document before the failing one, and
+// the failing document's chunks up to the one that failed.
 func (p *Pipeline) Ingest(docs []docstore.Document) error {
-	for _, d := range docs {
-		chunks, err := p.store.AddDocument(d, p.chunker)
-		if err != nil {
-			return fmt.Errorf("rag: ingest %s: %w", d.ID, err)
+	return p.ingest(docs, par.DefaultWorkers())
+}
+
+// ingestWindow is how many documents ingest cuts and embeds before it
+// stores and indexes them: at prep-rag's ~3.7 chunks per document, about
+// a thousand chunks a window, enough to keep every worker busy while
+// holding few vectors at a time.
+const ingestWindow = 256
+
+// ingest is Ingest on up to workers goroutines. Each window of documents
+// is cut (the chunker per document) and embedded (embed.EmbedBatch over
+// the window's chunks) in parallel, then committed serially: the store
+// receives each document with a chunker that returns the pieces already
+// cut, and the index each chunk's vector, in order.
+func (p *Pipeline) ingest(docs []docstore.Document, workers int) error {
+	var texts []string // the window's chunk texts, in order; reused
+	for lo := 0; lo < len(docs); lo += ingestWindow {
+		window := docs[lo:min(lo+ingestWindow, len(docs))]
+		pieces := par.Map(len(window), workers, func(i int) []string {
+			return p.chunker.Chunk(window[i].Text)
+		})
+		texts = texts[:0]
+		for _, ps := range pieces {
+			texts = append(texts, ps...)
 		}
-		for _, c := range chunks {
-			if err := p.index.Add(c.ID, p.emb.Embed(c.Text)); err != nil {
-				return fmt.Errorf("rag: index %s: %w", c.ID, err)
+		vecs := embed.EmbedBatch(p.emb, texts, workers)
+		for i, d := range window {
+			chunks, err := p.store.AddDocument(d, precut(pieces[i]))
+			if err != nil {
+				return fmt.Errorf("rag: ingest %s: %w", d.ID, err)
+			}
+			for _, c := range chunks {
+				if err := p.index.Add(c.ID, vecs[0]); err != nil {
+					return fmt.Errorf("rag: index %s: %w", c.ID, err)
+				}
+				vecs = vecs[1:]
 			}
 		}
 	}
 	return nil
 }
+
+// precut is a docstore.Chunker that returns pieces a chunker has
+// already cut, whatever the text.
+type precut []string
+
+// Chunk implements docstore.Chunker.
+func (c precut) Chunk(string) []string { return c }
 
 // ChunkCount reports how many retrieval units are indexed.
 func (p *Pipeline) ChunkCount() int { return p.store.ChunkCount() }

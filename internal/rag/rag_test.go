@@ -1,7 +1,11 @@
 package rag
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -318,5 +322,156 @@ func TestRemoveDocumentForgetsFacts(t *testing.T) {
 	}
 	if err := p.Remove("doc-does-not-exist"); err == nil {
 		t.Error("removing unknown doc succeeded")
+	}
+}
+
+// ingestReference is Ingest as the package shipped it before it cut and
+// embedded documents on several goroutines: one document at a time,
+// chunked by the store, each chunk embedded and indexed in turn. It is
+// the oracle for TestIngestMatchesSerial.
+func ingestReference(p *Pipeline, docs []docstore.Document) error {
+	for _, d := range docs {
+		chunks, err := p.store.AddDocument(d, p.chunker)
+		if err != nil {
+			return fmt.Errorf("rag: ingest %s: %w", d.ID, err)
+		}
+		for _, c := range chunks {
+			if err := p.index.Add(c.ID, p.emb.Embed(c.Text)); err != nil {
+				return fmt.Errorf("rag: index %s: %w", c.ID, err)
+			}
+		}
+	}
+	return nil
+}
+
+// poisonEmbedder embeds like inner, but gives a chunk that mentions
+// poison a NaN coordinate, which vecdb.Flat refuses.
+type poisonEmbedder struct {
+	embed.Embedder
+	poison string
+}
+
+func (e poisonEmbedder) Embed(text string) []float32 {
+	v := e.Embedder.Embed(text)
+	if e.poison != "" && strings.Contains(text, e.poison) {
+		v[0] = float32(math.NaN())
+	}
+	return v
+}
+
+// TestIngestMatchesSerial compares ingest at 1, 2 and 8 workers with the
+// serial reference: the error, the store's chunks (IDs, order, texts),
+// every indexed vector's bits via Get, the index's saved bytes, search
+// results and DistComps. Besides a clean corpus that spans several
+// windows, it ingests one with a duplicate document in the middle of a
+// window and one whose embedder poisons a chunk in the middle of a
+// document, where both must stop with exactly the reference's partial
+// state.
+func TestIngestMatchesSerial(t *testing.T) {
+	cfg := corpus.DefaultConfig(103)
+	gen, err := corpus.NewGenerator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := gen.Generate()
+	docs := make([]docstore.Document, len(c.Docs))
+	for i, d := range c.Docs {
+		docs[i] = docstore.Document{ID: d.ID, Text: d.Text}
+	}
+	if len(docs) < 2*ingestWindow+10 {
+		t.Fatalf("corpus has %d documents; want more than two windows", len(docs))
+	}
+	mid := ingestWindow + ingestWindow/2
+	dup := append([]docstore.Document(nil), docs[:mid]...)
+	dup = append(dup, docstore.Document{ID: docs[7].ID, Text: "a second document under an existing id."})
+	dup = append(dup, docs[mid:]...)
+	// The poisoned chunk is the second of a document in the second window.
+	poisonDoc := -1
+	var poison string
+	for i := ingestWindow + 5; i < len(docs) && poisonDoc < 0; i++ {
+		if pieces := (docstore.SentenceChunker{MaxTokens: 16}).Chunk(docs[i].Text); len(pieces) >= 3 {
+			poisonDoc, poison = i, pieces[1]
+		}
+	}
+	if poisonDoc < 0 {
+		t.Fatal("no document with three chunks to poison")
+	}
+	queries := []string{c.QAs[0].Question, c.QAs[1].Question, "merger", "the"}
+	cases := []struct {
+		name    string
+		docs    []docstore.Document
+		poison  string
+		wantErr bool
+	}{
+		{"clean", docs, "", false},
+		{"duplicate", dup, "", true},
+		{"poisoned", docs, poison, true},
+	}
+	for _, tc := range cases {
+		build := func() (*Pipeline, *vecdb.Flat) {
+			e := poisonEmbedder{Embedder: embed.NewHashEmbedder(embed.DefaultDim), poison: tc.poison}
+			f := vecdb.NewFlat(e.Dim())
+			p, err := New(perfectClient(1), e, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p, f
+		}
+		ref, refIndex := build()
+		refErr := ingestReference(ref, tc.docs)
+		if (refErr != nil) != tc.wantErr {
+			t.Fatalf("%s: reference error %v, want error %v", tc.name, refErr, tc.wantErr)
+		}
+		t.Logf("%s: reference stored %d of %d documents, %d chunks (error %v)",
+			tc.name, ref.store.Len(), len(tc.docs), ref.ChunkCount(), refErr)
+		for _, workers := range []int{1, 2, 8} {
+			p, index := build()
+			err := p.ingest(tc.docs, workers)
+			if fmt.Sprint(err) != fmt.Sprint(refErr) {
+				t.Errorf("%s, %d workers: error %v, reference %v", tc.name, workers, err, refErr)
+			}
+			if p.store.Len() != ref.store.Len() || !reflect.DeepEqual(p.store.Chunks(), ref.store.Chunks()) {
+				t.Errorf("%s, %d workers: store holds %d documents and %d chunks, reference %d and %d (or they differ)",
+					tc.name, workers, p.store.Len(), p.ChunkCount(), ref.store.Len(), ref.ChunkCount())
+				continue
+			}
+			if index.Len() != refIndex.Len() {
+				t.Errorf("%s, %d workers: index holds %d vectors, reference %d", tc.name, workers, index.Len(), refIndex.Len())
+				continue
+			}
+			for _, ch := range ref.store.Chunks() {
+				want, wantErr := refIndex.Get(ch.ID)
+				got, gotErr := index.Get(ch.ID)
+				if (gotErr != nil) != (wantErr != nil) {
+					t.Fatalf("%s, %d workers: Get(%s) error %v, reference %v", tc.name, workers, ch.ID, gotErr, wantErr)
+				}
+				for d := range want {
+					if math.Float32bits(got[d]) != math.Float32bits(want[d]) {
+						t.Fatalf("%s, %d workers: %s coordinate %d is %v, reference %v", tc.name, workers, ch.ID, d, got[d], want[d])
+					}
+				}
+			}
+			var saved, refSaved bytes.Buffer
+			if err := index.Save(&saved); err != nil {
+				t.Fatal(err)
+			}
+			if err := refIndex.Save(&refSaved); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(saved.Bytes(), refSaved.Bytes()) {
+				t.Errorf("%s, %d workers: saved index differs from the reference's", tc.name, workers)
+			}
+			before, refBefore := index.DistComps(), refIndex.DistComps()
+			for _, q := range queries {
+				got, gotErr := p.Retrieve(q, 5)
+				want, wantErr := ref.Retrieve(q, 5)
+				if !reflect.DeepEqual(got, want) || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+					t.Errorf("%s, %d workers: Retrieve(%q) = %v, %v; reference %v, %v", tc.name, workers, q, got, gotErr, want, wantErr)
+				}
+			}
+			if d, refD := index.DistComps()-before, refIndex.DistComps()-refBefore; d != refD {
+				t.Errorf("%s, %d workers: %d dist comps over the queries, reference %d", tc.name, workers, d, refD)
+			}
+		}
 	}
 }

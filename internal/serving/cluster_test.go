@@ -203,8 +203,8 @@ func TestCrashDropsAndReroutesInFlightSequences(t *testing.T) {
 	eng := sim.NewEngine()
 	var finished []Result
 	pool := &seqPool{}
-	a := newInstance(0, gpu, ContinuousOpts{}, eng, pool, func(_ float64, r Result) { finished = append(finished, r) })
-	b := newInstance(1, gpu, ContinuousOpts{}, eng, pool, func(_ float64, r Result) { finished = append(finished, r) })
+	a := newInstance(0, gpu, ContinuousOpts{}, eng, pool, func(float64) *Result { return nextResult(&finished) })
+	b := newInstance(1, gpu, ContinuousOpts{}, eng, pool, func(float64) *Result { return nextResult(&finished) })
 	// The pool zeroes a sequence when it finishes, so capture the
 	// dropped state at drop time, not after the run.
 	dropped, droppedGen := 0, 0

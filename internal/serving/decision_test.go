@@ -18,7 +18,7 @@ func newBareCluster(policy RouterPolicy, n int) *cluster {
 	eng := sim.NewEngine()
 	c := &cluster{eng: eng, policy: policy, scores: make([]candScore, n)}
 	for i := 0; i < n; i++ {
-		c.insts = append(c.insts, newInstance(i, DefaultGPU(), ContinuousOpts{}, eng, &c.pool, func(float64, Result) {}))
+		c.insts = append(c.insts, newInstance(i, DefaultGPU(), ContinuousOpts{}, eng, &c.pool, func(float64) *Result { return new(Result) }))
 		c.breakers = append(c.breakers, resilient.NewBreaker(resilient.BreakerPolicy{FailureThreshold: 2}))
 	}
 	return c

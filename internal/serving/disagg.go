@@ -56,7 +56,7 @@ func RunColocated(gpu GPUConfig, reqs []workload.Request, n int, opts Continuous
 		i := i
 		shareOpts := opts
 		shareOpts.KV = nil // each GPU owns its cache
-		insts[i] = newInstance(i, gpu, shareOpts, eng, pool, func(_ float64, r Result) { perInst[i] = append(perInst[i], r) })
+		insts[i] = newInstance(i, gpu, shareOpts, eng, pool, func(float64) *Result { return nextResult(&perInst[i]) })
 	}
 	for i, r := range ordered {
 		shares[i%n] = append(shares[i%n], r)
@@ -108,7 +108,7 @@ func RunDisaggregated(gpu GPUConfig, reqs []workload.Request, opts DisaggOpts) (
 		i := i
 		pools[i] = &decodeInstance{
 			id: i, gpu: gpu, kv: NewPagedKV(gpu), eng: eng,
-			onFinish: func(_ float64, r Result) { perPool[i] = append(perPool[i], r) },
+			onFinish: func(float64) *Result { return nextResult(&perPool[i]) },
 		}
 		if opts.Trace != nil {
 			pools[i].trace = opts.Trace
@@ -217,7 +217,9 @@ type decodeInstance struct {
 	trace *obs.Tracer
 	track string
 
-	onFinish func(now float64, r Result)
+	// onFinish returns the slot a finished sequence's Result is written
+	// into.
+	onFinish func(now float64) *Result
 }
 
 type dstate struct {
@@ -231,22 +233,20 @@ type dstate struct {
 
 func (di *decodeInstance) finish(now float64, d *dstate) {
 	di.kv.Free(d.job.idx)
-	r := Result{
-		Req:             d.job.req,
-		FinishMS:        d.finishMS,
-		TTFTms:          d.job.firstToken - d.job.req.ArrivalMS,
-		PrefilledTokens: d.job.req.PromptTokens,
-		Instance:        di.id,
-	}
-	if d.job.req.OutputTokens > 1 {
-		r.TBTms = (d.finishMS - d.job.firstToken) / float64(d.job.req.OutputTokens-1)
-	}
 	if di.trace != nil {
 		di.trace.End(now, d.phase)
 		d.phase = 0
 		di.trace.EndReason(now, d.job.root, "finish")
 	}
-	di.onFinish(d.finishMS, r)
+	r := di.onFinish(d.finishMS)
+	r.Req = d.job.req
+	r.FinishMS = d.finishMS
+	r.TTFTms = d.job.firstToken - d.job.req.ArrivalMS
+	r.PrefilledTokens = d.job.req.PromptTokens
+	r.Instance = di.id
+	if d.job.req.OutputTokens > 1 {
+		r.TBTms = (d.finishMS - d.job.firstToken) / float64(d.job.req.OutputTokens-1)
+	}
 }
 
 // arrive queues a transferred sequence. An idle instance defers its wake

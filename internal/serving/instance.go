@@ -115,8 +115,9 @@ type instance struct {
 	iterSpan     obs.SpanRef
 	breakerGauge *obs.Metric
 
-	// onFinish receives every completed sequence's Result.
-	onFinish func(now float64, r Result)
+	// onFinish is told of every completed sequence and returns the slot
+	// its Result is written into.
+	onFinish func(now float64) *Result
 	// onDrop receives the sequences lost to a crash, in drop order, for
 	// the cluster router to re-route; nil means standalone runs, which
 	// never crash.
@@ -128,7 +129,7 @@ type instance struct {
 // recycles finished sequences and issues the run's join stamps; it is
 // shared by every instance of a run, and may be nil only for an
 // instance that never serves.
-func newInstance(id int, gpu GPUConfig, opts ContinuousOpts, eng *sim.Engine, pool *seqPool, onFinish func(float64, Result)) *instance {
+func newInstance(id int, gpu GPUConfig, opts ContinuousOpts, eng *sim.Engine, pool *seqPool, onFinish func(float64) *Result) *instance {
 	kv := opts.KV
 	if kv == nil {
 		kv = NewPagedKV(gpu)
@@ -377,10 +378,8 @@ func (in *instance) finish(now float64, s *seqState) {
 	if in.opts.SessionCache != nil && s.req.Session != "" {
 		in.opts.SessionCache.Store(now, s.req.Session, s.req.PromptTokens+s.req.OutputTokens)
 	}
-	r := s.result()
-	r.Instance = in.id
 	in.traceFinish(now, s)
-	in.onFinish(now, r)
+	s.writeResult(in.onFinish(now), in.id)
 	in.pool.put(s) // nothing references s past its Result; drops its checkpoint
 }
 

@@ -544,11 +544,11 @@ func runRoutedCluster(gpu GPUConfig, reqs []workload.Request, n int, policy Rout
 			instOpts.SessionCache = store
 		}
 		c.breakers[i] = resilient.NewBreaker(resilient.BreakerPolicy{FailureThreshold: 2, CooldownMS: cooldown})
-		c.insts[i] = newInstance(i, gpu, instOpts, c.eng, &c.pool, func(now float64, r Result) {
-			c.results = append(c.results, r)
+		c.insts[i] = newInstance(i, gpu, instOpts, c.eng, &c.pool, func(now float64) *Result {
 			c.breakers[i].OnSuccess(now)
 			c.traceBreaker(now, i)
 			c.pending--
+			return nextResult(&c.results)
 		})
 		c.insts[i].rec = c.rec
 		c.insts[i].onDrop = func(now float64, dropped []*seqState) {

@@ -60,17 +60,25 @@ type seqState struct {
 	track       string
 }
 
-func (s *seqState) result() Result {
-	r := Result{
-		Req:             s.req,
-		FinishMS:        s.finishMS,
-		TTFTms:          s.firstTokenMS - s.req.ArrivalMS,
-		PrefilledTokens: s.prefilled,
-	}
+// writeResult writes the sequence's Result, served on instance, into r,
+// the slot it is reported in (see nextResult).
+func (s *seqState) writeResult(r *Result, instance int) {
+	r.Req = s.req
+	r.FinishMS = s.finishMS
+	r.TTFTms = s.firstTokenMS - s.req.ArrivalMS
+	r.PrefilledTokens = s.prefilled
+	r.Instance = instance
 	if s.req.OutputTokens > 1 {
 		r.TBTms = (s.finishMS - s.firstTokenMS) / float64(s.req.OutputTokens-1)
 	}
-	return r
+}
+
+// nextResult appends a zero Result to *results and returns the new
+// slot, so a finished sequence's Result is built once, where it is
+// reported, instead of being copied there.
+func nextResult(results *[]Result) *Result {
+	*results = append(*results, Result{})
+	return &(*results)[len(*results)-1]
 }
 
 // arrivalOrder returns reqs stably sorted by ArrivalMS. A trace already
@@ -154,7 +162,7 @@ func RunStatic(gpu GPUConfig, reqs []workload.Request, batchSize int) (*Report, 
 		}
 		for j, s := range batch {
 			kv.Free(j)
-			results = append(results, s.result())
+			s.writeResult(nextResult(&results), 0)
 		}
 	}
 	rep := buildReport(results)
@@ -240,7 +248,7 @@ func RunContinuous(gpu GPUConfig, reqs []workload.Request, opts ContinuousOpts) 
 	eng := sim.NewEngine()
 	pool := &seqPool{}
 	results := make([]Result, 0, len(ordered)) // every request resolves once
-	inst := newInstance(0, gpu, opts, eng, pool, func(_ float64, r Result) { results = append(results, r) })
+	inst := newInstance(0, gpu, opts, eng, pool, func(float64) *Result { return nextResult(&results) })
 	scheduleArrivals(eng, gpu, ordered, inst, pool, func(r Result) { results = append(results, r) })
 	eng.Run()
 

@@ -213,7 +213,8 @@ func (r *Report) ClassOutputTokens(class workload.SLOClass) int {
 // buildReport assembles summaries from results.
 func buildReport(results []Result) *Report {
 	rep := &Report{Results: results}
-	for _, res := range results {
+	for i := range results {
+		res := &results[i]
 		if res.Rejected {
 			rep.Rejected++
 			continue

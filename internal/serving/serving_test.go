@@ -211,7 +211,7 @@ func TestKVHandlesAreRecycledPerInstance(t *testing.T) {
 	gpu := DefaultGPU()
 	gpu.KVBlocks = 8
 	var pool seqPool
-	in := newInstance(0, gpu, ContinuousOpts{}, sim.NewEngine(), &pool, func(float64, Result) {})
+	in := newInstance(0, gpu, ContinuousOpts{}, sim.NewEngine(), &pool, func(float64) *Result { return new(Result) })
 	a := pool.get(workload.Request{ID: "a", PromptTokens: 40})
 	b := pool.get(workload.Request{ID: "a", PromptTokens: 40})
 	if !in.kvAlloc(a, 40) || !in.kvAlloc(b, 40) {

@@ -177,7 +177,8 @@ func refQueries(rng *rand.Rand, dim int) [][]float32 {
 }
 
 // checkAgainstReference runs every query through f at 1, 2 and 3
-// workers, with and without a keep filter, for the top 4 and for every
+// workers and through scans sharded at 2 and 3 workers whatever their
+// work, with and without a keep filter, for the top 4 and for every
 // row, and compares each result list, score bit pattern and DistComps
 // increment with referenceSearch over m. It returns how many scores it
 // compared.
@@ -208,14 +209,23 @@ func checkAgainstReference(t *testing.T, name string, f *Flat, m *flatModel, que
 						t.Fatalf("%s q%d: reference score %v for %s: test data must keep scores finite", name, qi, r.Score, r.ID)
 					}
 				}
-				for _, w := range []int{1, 2, 3} {
-					f.SetParallelism(w)
+				// Search at 1, 2 and 3 workers, then shard at 2 and 3
+				// workers whatever the query's work.
+				for _, w := range []int{1, 2, 3, -2, -3} {
+					at := fmt.Sprintf("%s q%d k%d keep=%v w%d", name, qi, k, keep != nil, w)
 					before := f.DistComps()
-					got, err := f.SearchFilter(q, k, keep)
+					var got []Result
+					var err error
+					if w > 0 {
+						f.SetParallelism(w)
+						got, err = f.SearchFilter(q, k, keep)
+					} else {
+						at += " sharded"
+						got, err = f.searchShards(q, k, keep, -w, 0)
+					}
 					if err != nil {
 						t.Fatal(err)
 					}
-					at := fmt.Sprintf("%s q%d k%d keep=%v w%d", name, qi, k, keep != nil, w)
 					if dots := f.DistComps() - before; dots != wantDots {
 						t.Errorf("%s: %d dist comps, reference %d", at, dots, wantDots)
 					}
@@ -269,8 +279,7 @@ func TestFlatScanMatchesReference(t *testing.T) {
 		check(fmt.Sprintf("n%d", n), f, m, queries)
 		if n == 4100 {
 			// Rows from the unfilled fifth block move into sealed ones;
-			// the index stays large enough for sharded scans, which at 2
-			// and 3 workers split sealed blocks.
+			// the sharded scans at 2 and 3 workers split sealed blocks.
 			for _, i := range []int{7, 1500, 4000} {
 				m.delete(t, f, i)
 			}
@@ -350,22 +359,21 @@ func TestFlatScanMatchesReference(t *testing.T) {
 	t.Logf("%d scores compared; %d sparse and %d dense sealed columns checked", compared, seen.sparse, seen.dense)
 }
 
-// TestFlatSealRacesSearch: searches at two workers race one writer whose
-// adds seal blocks and whose deletes re-seal or un-seal them, growing
-// the index past flatParallelMin so later scans shard. Each result must
-// score exactly embed.Dot of the query and the vector its id was added
-// with; at the end the index must match the oracle. Under -race this
-// also proves no scan reads a seal while it is written.
+// TestFlatSealRacesSearch: scans sharded at two workers race one writer
+// whose adds seal blocks and whose deletes re-seal or un-seal them,
+// growing the index past four full blocks. Each result must score
+// exactly embed.Dot of the query and the vector its id was added with;
+// at the end the index must match the oracle. Under -race this also
+// proves no scan reads a seal while it is written.
 func TestFlatSealRacesSearch(t *testing.T) {
 	t.Parallel()
-	const dim, n, readers = 16, flatParallelMin + 300, 3
+	const dim, n, readers = 16, 4396, 3
 	rng := rand.New(rand.NewSource(11))
 	vecs := make([][]float32, n)
 	for i := range vecs {
 		vecs[i] = refStoredVec(rng, dim)
 	}
 	f, m := NewFlat(dim), &flatModel{}
-	f.SetParallelism(2)
 	for i := 0; i < 900; i++ {
 		m.add(t, f, fmt.Sprintf("s%05d", i), vecs[i])
 	}
@@ -390,7 +398,7 @@ func TestFlatSealRacesSearch(t *testing.T) {
 				default:
 				}
 				q := refQueries(qrng, dim)[3+qrng.Intn(3)]
-				res, err := f.Search(q, 5)
+				res, err := f.searchShards(q, 5, nil, 2, 0)
 				if err != nil {
 					t.Errorf("Search: %v", err)
 					return

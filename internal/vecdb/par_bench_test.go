@@ -99,22 +99,48 @@ func BenchmarkParFlatSearch(b *testing.B) {
 	benchFlatSearch(b, f, q, k, 1, 2, 4, 8)
 }
 
-// BenchmarkParFlatSearchAtMin times the scan at flatParallelMin rows,
-// the smallest index the sharded scan runs on, on dense vectors and on
-// the prep-rag shape of BenchmarkParFlatSearchSparse: w2 must beat w1
-// here for that threshold to stand. Each iteration runs one serial and
-// one 2-worker search, alternating which goes first, so the host's speed
-// drift (it moves by tens of percent within seconds on a shared machine)
-// hits both sides alike; it reports each side's median per search and
-// the share of iterations the 2-worker search won.
+// BenchmarkParFlatSearchAtMin times the scan at flatParallelWork, the
+// least work the sharded scan runs on, on a dense index and on the
+// prep-rag shape of BenchmarkParFlatSearchSparse, each with just enough
+// rows for its query's work to reach the threshold: w2 must not lose to
+// w1 here for that threshold to stand. Each iteration runs one serial
+// and one 2-worker search, alternating which goes first, so the host's
+// speed drift (it moves by tens of percent within seconds on a shared
+// machine) hits both sides alike; it reports each side's median per
+// search, the share of iterations the 2-worker search won, and the
+// index's rows and its query's work.
 func BenchmarkParFlatSearchAtMin(b *testing.B) {
 	const dim, k = 64, 10
-	dense := benchFlat(b, flatParallelMin, dim)
+	// A dense query's work is its index's rows times dim.
+	dense := benchFlat(b, flatParallelWork/dim, dim)
 	b.Run("dense", func(b *testing.B) {
 		benchAlternating(b, dense, randVec(rand.New(rand.NewSource(2)), dim), k)
 	})
-	sparse, q := sparseFlat(b, flatParallelMin)
+	sparse, q := sparseFlatAtWork(b, flatParallelWork)
 	b.Run("sparse", func(b *testing.B) { benchAlternating(b, sparse, q, sparseK) })
+}
+
+// sparseFlatAtWork returns an index of the prep-rag shape with the
+// fewest rows for which its query's scan work reaches work, and the
+// query.
+func sparseFlatAtWork(b *testing.B, work int) (*Flat, []float32) {
+	b.Helper()
+	rng := rand.New(rand.NewSource(6))
+	q := sparseVec(rng, sparseDim, sparseQueryNZ)
+	f := NewFlat(sparseDim)
+	for i := 0; f.scanWorkOf(q) < work; i++ {
+		if err := f.Add(fmt.Sprintf("v%06d", i), sparseVec(rng, sparseDim, sparseStoredNZ)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return f, q
+}
+
+// scanWorkOf is scanWork under the read lock.
+func (f *Flat) scanWorkOf(query []float32) int {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	return f.scanWork(query)
 }
 
 // benchAlternating runs b.N rounds of one serial and one 2-worker
@@ -146,6 +172,8 @@ func benchAlternating(b *testing.B, f *Flat, q []float32, k int) {
 		b.ReportMetric(ts[len(ts)/2], fmt.Sprintf("w%d-ms", w+1))
 	}
 	b.ReportMetric(float64(wins)/float64(b.N), "w2-wins")
+	b.ReportMetric(float64(f.Len()), "rows")
+	b.ReportMetric(float64(f.scanWorkOf(q)), "work")
 }
 
 // The prep-rag benchmark's shape: the hash embedder's 256-dim chunk

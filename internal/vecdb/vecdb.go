@@ -295,25 +295,37 @@ func (f *Flat) Search(query []float32, k int) ([]Result, error) {
 // experiments, which search within one modality at a time.
 //
 // When the index's parallelism (SetParallelism, default GOMAXPROCS) is
-// above 1 and the index is large enough, the scan shards across workers;
-// keep must then be safe for concurrent calls (the pure closures callers
-// pass already are). Sharding never changes the result: see scanShards.
+// above 1 and the query's scan work reaches flatParallelWork, the scan
+// shards across workers; keep must then be safe for concurrent calls
+// (the pure closures callers pass already are). Sharding never changes
+// the result: see scanShards.
 func (f *Flat) SearchFilter(query []float32, k int, keep func(id string) bool) ([]Result, error) {
 	return f.searchOne(query, k, keep, f.searchWorkers())
 }
 
-// flatParallelMin is the index size below which a sharded scan is not
-// worth the fan-out overhead. At this size two workers still win on
-// dense vectors and break even on sparse ones: BenchmarkParFlatSearchAtMin
-// read 0.15 ms at w2 against 0.21 ms at w1 on a dense 4096 × 64 index,
-// w2 faster in 75% of its interleaved searches, and 0.036 against
-// 0.035 ms on the prep-rag shape, whose sealed blocks scan as pairs
-// (medians of 10 runs on a 2-vCPU Xeon; BENCH_par.json,
-// sealed_sparse_columns).
-const flatParallelMin = 4096
+// flatParallelWork is the scan work (see scanWork) below which a
+// sharded scan is not worth the fan-out overhead. A row count cannot
+// say this: a sealed block of the prep-rag benchmark's shape scans
+// about six times cheaper than a dense one. BenchmarkParFlatSearchAtMin
+// times one and two workers on indexes sized so their query's work is
+// just at the threshold. On a 2-vCPU Xeon, at 65536 a dense 1024 × 64
+// index broke even (w1 0.064, w2 0.056 ms, w2 faster in 6 of 10 runs)
+// and the prep-rag shape (10,179 rows) gained (0.112 against 0.095 ms,
+// 10 of 10); at 49152 the dense index lost (0.049 against 0.054 ms).
+// Every search of the prep-rag benchmark's index (13k rows, work from
+// 70k up at every seed checked) still shards (BENCH_par.json,
+// prep_fanout.flat_parallel_work).
+const flatParallelWork = 65536
 
-// searchOne runs one scan at the given worker count.
+// searchOne runs one scan at the given worker count, sharded when the
+// query's work reaches flatParallelWork.
 func (f *Flat) searchOne(query []float32, k int, keep func(id string) bool, workers int) ([]Result, error) {
+	return f.searchShards(query, k, keep, workers, flatParallelWork)
+}
+
+// searchShards is searchOne with the work from which the scan shards as
+// a parameter; the tests pass 0 to shard every scan.
+func (f *Flat) searchShards(query []float32, k int, keep func(id string) bool, workers, minWork int) ([]Result, error) {
 	if len(query) != f.dim {
 		return nil, fmt.Errorf("%w: got %d want %d", ErrDimension, len(query), f.dim)
 	}
@@ -323,12 +335,36 @@ func (f *Flat) searchOne(query []float32, k int, keep func(id string) bool, work
 	if n == 0 {
 		return nil, ErrEmptyIndex
 	}
-	if workers > 1 && n >= flatParallelMin {
+	if workers > 1 && f.scanWork(query) >= minWork {
 		return f.scanShards(query, k, keep, workers), nil
 	}
 	h := newTopK(k)
 	f.dists.Add(f.scan(query, 0, n, keep, h))
 	return h.sorted(), nil
+}
+
+// scanWork is the number of multiply-adds a full scan of query makes:
+// for each non-zero query coordinate, the pairs of that column in every
+// sealed block where it is sparse, plus the rows of every block where it
+// is dense or that is not sealed. Must be called with f.mu read-held.
+func (f *Flat) scanWork(query []float32) int {
+	work := 0
+	for d, qd := range query {
+		if qd == 0 {
+			continue
+		}
+		for b, s := range f.sealed {
+			switch {
+			case s == nil:
+				work += len(f.ids) - b*flatBlockRows // only the last block is unsealed
+			case s.dense[d]:
+				work += flatBlockRows
+			default:
+				work += len(s.cols[d])
+			}
+		}
+	}
+	return work
 }
 
 // scan scores rows [lo, hi) against query, offers every row keep accepts

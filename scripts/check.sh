@@ -63,6 +63,13 @@ go test -race -count=10 -run 'WriteChrome|ConcurrentRecord' ./internal/obs
 # seventh config under -short), the closed-form decode schedule, and
 # invalid configurations failing with ErrConfig under a deadline.
 go test -race -short -count=1 -run 'TestDecodeGridDigests|TestDecodeClosedForm|TestBadConfigsFailFast' ./internal/serving
+# prep-rag's preparation stages fan out: rag.Ingest cuts and embeds each
+# window of documents on several goroutines and commits it in order,
+# ApplyFilters runs the filters per document in parallel, and Dedup's
+# signature and band passes run on all cores. Their serial-equivalence
+# oracles and the closed-form MinHash check, repeated under the race
+# detector.
+go test -race -count=10 -run 'Ingest|ApplyFilters|Dedup|Signature' ./internal/rag ./internal/dataprep
 
 echo "== servesim smoke (routed cluster end-to-end)"
 # One routed run with faults exercises the whole serving stack from the
@@ -155,6 +162,9 @@ rm -f /tmp/dataai_servesim /tmp/dataai_sweep_serial.txt /tmp/dataai_sweep_par.tx
 
 echo "== bench smoke (every Par benchmark runs once)"
 go test -run '^$' -bench=Par -benchtime=1x ./...
+
+echo "== prep-rag kernel bench smoke (MinHash signature, dedup and embedding fan-outs run once)"
+go test -run '^$' -bench 'MinHashSignature|ParDedup|ParEmbed' -benchtime=1x ./internal/dataprep ./internal/embed
 
 echo "== tracing bench smoke (record, Check and WriteChrome benchmarks run once)"
 # Two -cpu values run WriteChrome's serial and two-worker renderings.
