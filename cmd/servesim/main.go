@@ -183,8 +183,44 @@ func main() {
 		log.Fatalf("unknown admission %q (want none, reject, or queue)", *admission)
 	}
 	gpu := serving.DefaultGPU()
+	opts := serving.ContinuousOpts{Sched: schedPol, PreemptBatch: preempt}
+	if *policy == "chunked" || *policy == "routed" {
+		opts.ChunkTokens = *chunk
+	}
+	// The routed flags become one cluster configuration, which every
+	// replica and replay shares: a fault plan is only read during a run.
+	var cluster serving.ClusterConfig
+	if *policy == "routed" {
+		cluster = serving.ClusterConfig{GPU: gpu, Instances: *instances, Opts: opts, Admission: adm,
+			Recovery: serving.RecoveryConfig{CkptEveryIters: *ckptEvery, Migrate: *migrate}}
+		switch *router {
+		case "round-robin":
+			cluster.Router = serving.RoundRobin
+		case "cache-aware":
+			cluster.Router = serving.CacheAware
+		case "breaker-aware":
+			cluster.Router = serving.BreakerAware
+		default:
+			log.Fatalf("unknown router %q", *router)
+		}
+		switch *faultsArg {
+		case "none":
+		case "medium":
+			cluster.Faults = serving.MediumFaultPlan(*faultSeed)
+		case "severe":
+			cluster.Faults = serving.SevereFaultPlan(*faultSeed)
+		default:
+			log.Fatalf("unknown fault plan %q", *faultsArg)
+		}
+		if *domains > 0 {
+			if cluster.Faults == nil {
+				log.Fatal("-domains needs a fault plan (-faults medium|severe)")
+			}
+			cluster.Faults.Correlate(*domains)
+		}
+	}
 
-	runOnce := func(tr *obs.Tracer, dl *obs.DecisionLog, force *serving.ForcedChoice) (*serving.Report, *serving.RoutedReport, error) {
+	runOnce := func(tr *obs.Tracer, dl *obs.DecisionLog) (*serving.Report, *serving.RoutedReport, error) {
 		switch *policy {
 		case "static":
 			if tr != nil {
@@ -192,13 +228,10 @@ func main() {
 			}
 			rep, err := serving.RunStatic(gpu, reqs, *batch)
 			return rep, nil, err
-		case "continuous":
-			rep, err := serving.RunContinuous(gpu, reqs,
-				serving.ContinuousOpts{Sched: schedPol, PreemptBatch: preempt, Trace: tr})
-			return rep, nil, err
-		case "chunked":
-			rep, err := serving.RunContinuous(gpu, reqs,
-				serving.ContinuousOpts{ChunkTokens: *chunk, Sched: schedPol, PreemptBatch: preempt, Trace: tr})
+		case "continuous", "chunked":
+			o := opts
+			o.Trace = tr
+			rep, err := serving.RunContinuous(gpu, reqs, o)
 			return rep, nil, err
 		case "disagg":
 			rep, err := serving.RunDisaggregated(gpu, reqs, serving.DisaggOpts{
@@ -207,38 +240,9 @@ func main() {
 			})
 			return rep, nil, err
 		case "routed":
-			var pol serving.RouterPolicy
-			switch *router {
-			case "round-robin":
-				pol = serving.RoundRobin
-			case "cache-aware":
-				pol = serving.CacheAware
-			case "breaker-aware":
-				pol = serving.BreakerAware
-			default:
-				return nil, nil, fmt.Errorf("unknown router %q", *router)
-			}
-			var plan *serving.FaultPlan
-			switch *faultsArg {
-			case "none":
-			case "medium":
-				plan = serving.MediumFaultPlan(*faultSeed)
-			case "severe":
-				plan = serving.SevereFaultPlan(*faultSeed)
-			default:
-				return nil, nil, fmt.Errorf("unknown fault plan %q", *faultsArg)
-			}
-			if *domains > 0 {
-				if plan == nil {
-					return nil, nil, fmt.Errorf("-domains needs a fault plan (-faults medium|severe)")
-				}
-				plan.Correlate(*domains)
-			}
-			rec := serving.RecoveryConfig{CkptEveryIters: *ckptEvery, Migrate: *migrate}
-			routed, err := serving.RunRoutedAdmission(gpu, reqs, *instances, pol,
-				serving.ContinuousOpts{ChunkTokens: *chunk, Sched: schedPol, PreemptBatch: preempt,
-					Trace: tr, Decisions: dl, Force: force},
-				plan, rec, adm)
+			c := cluster
+			c.Opts.Trace, c.Opts.Decisions = tr, dl
+			routed, err := serving.Run(c, reqs)
 			if routed != nil {
 				return &routed.Report, routed, err
 			}
@@ -256,11 +260,7 @@ func main() {
 		// Counterfactual pricing: the baseline run records the decision
 		// log, then every decision is replayed forced to each rank in
 		// [2, K] and priced against the baseline (see serving.ReplayRegret).
-		routed, err = serving.ReplayRegret(
-			func(dl *obs.DecisionLog, force *serving.ForcedChoice) (*serving.RoutedReport, error) {
-				_, r, err := runOnce(nil, dl, force)
-				return r, err
-			},
+		routed, err = serving.ReplayRegret(cluster, reqs,
 			serving.ReplayConfig{MaxRank: *counterK, Workers: *replicas,
 				TTFTSLOms: *ttftSLO, TBTSLOms: *tbtSLO, TopN: *regretTop})
 		if err != nil {
@@ -271,7 +271,7 @@ func main() {
 		if *decisions {
 			dlog = obs.NewDecisionLog()
 		}
-		rep, routed, err = runOnce(nil, dlog, nil)
+		rep, routed, err = runOnce(nil, dlog)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -409,8 +409,8 @@ func runSweep(w io.Writer, seed int64, n, instances, chunk int, faultSeed uint64
 		case "severe":
 			plan = serving.SevereFaultPlan(faultSeed)
 		}
-		routed, err := serving.RunRoutedFaults(gpu, reqs, instances,
-			policies[grid.Value(0, cell)], serving.ContinuousOpts{ChunkTokens: chunk}, plan)
+		routed, err := serving.Run(serving.ClusterConfig{GPU: gpu, Instances: instances,
+			Router: policies[grid.Value(0, cell)], Opts: serving.ContinuousOpts{ChunkTokens: chunk}, Faults: plan}, reqs)
 		if err != nil {
 			return cellOut{err: err}
 		}
@@ -441,7 +441,7 @@ func runSweep(w io.Writer, seed int64, n, instances, chunk int, faultSeed uint64
 // bytes to path. With decisions on, every replica records its own
 // decision log, which the tracer attachment folds into both the span
 // args and the invariant check.
-func runTraced(runOnce func(*obs.Tracer, *obs.DecisionLog, *serving.ForcedChoice) (*serving.Report, *serving.RoutedReport, error), path string, replicas int, decisions bool) (*serving.Report, *serving.RoutedReport, error) {
+func runTraced(runOnce func(*obs.Tracer, *obs.DecisionLog) (*serving.Report, *serving.RoutedReport, error), path string, replicas int, decisions bool) (*serving.Report, *serving.RoutedReport, error) {
 	if replicas < 1 {
 		replicas = 1
 	}
@@ -457,7 +457,7 @@ func runTraced(runOnce func(*obs.Tracer, *obs.DecisionLog, *serving.ForcedChoice
 		if decisions {
 			dl = obs.NewDecisionLog()
 		}
-		rep, routed, err := runOnce(tr, dl, nil)
+		rep, routed, err := runOnce(tr, dl)
 		if err != nil {
 			return replica{err: err}
 		}

@@ -341,9 +341,12 @@ type (
 	RouterPolicy     = serving.RouterPolicy
 	RoutedReport     = serving.RoutedReport
 	ServingFaultPlan = serving.FaultPlan
-	// RecoveryConfig turns on the crash-survivable stack for routed
-	// runs: periodic decode-state checkpoints, live session migration,
-	// and tiered (GPU+CPU) prefix caches.
+	// ClusterConfig configures RunCluster: instances, router, fault
+	// plan, recovery and admission.
+	ClusterConfig = serving.ClusterConfig
+	// RecoveryConfig turns on the crash-survivable stack for a cluster:
+	// periodic decode-state checkpoints, live session migration, and
+	// tiered (GPU+CPU) prefix caches.
 	RecoveryConfig    = serving.RecoveryConfig
 	PrefixCacheConfig = serving.PrefixCacheConfig
 )
@@ -396,11 +399,9 @@ var (
 	RunStaticBatching = serving.RunStatic
 	RunContinuous     = serving.RunContinuous
 	RunDisaggregated  = serving.RunDisaggregated
-	RunRouted         = serving.RunRouted
-	RunRoutedFaults   = serving.RunRoutedFaults
-	// RunRoutedRecovery is RunRoutedFaults plus a RecoveryConfig; the
-	// zero config reproduces RunRoutedFaults exactly.
-	RunRoutedRecovery    = serving.RunRoutedRecovery
+	// RunCluster serves a trace on a routed multi-instance cluster; a
+	// colocated GPU pool is the RoundRobin router.
+	RunCluster           = serving.Run
 	MediumFaultPlan      = serving.MediumFaultPlan
 	SevereFaultPlan      = serving.SevereFaultPlan
 	CorrelatedFaultPlan  = serving.CorrelatedFaultPlan
@@ -408,14 +409,10 @@ var (
 	NewTieredPrefixCache = serving.NewTieredPrefixCache
 	GenerateTrace        = workload.Generate
 	DefaultTrace         = workload.DefaultTrace
-	// RunRoutedAdmission is RunRoutedRecovery plus per-tenant
-	// token-bucket admission; the zero AdmissionConfig reproduces it
-	// exactly.
-	RunRoutedAdmission = serving.RunRoutedAdmission
-	GenerateSpec       = workload.GenerateSpec
-	DefaultMultiTenant = workload.DefaultMultiTenant
-	JainIndex          = metrics.Jain
-	JainWeighted       = metrics.JainWeighted
+	GenerateSpec         = workload.GenerateSpec
+	DefaultMultiTenant   = workload.DefaultMultiTenant
+	JainIndex            = metrics.Jain
+	JainWeighted         = metrics.JainWeighted
 )
 
 // Observability: logical-clock spans, a counter/gauge registry, and
@@ -426,9 +423,9 @@ type (
 	Tracer      = obs.Tracer
 	TraceSpan   = obs.Span
 	TraceMetric = obs.Metric
-	// DecisionLog records every routing decision of a routed run
+	// DecisionLog records every routing decision of a RunCluster run
 	// (attach via ContinuousOpts.Decisions); ReplayRegret prices each
-	// recorded decision by counterfactual replay.
+	// decision of a ClusterConfig's run by counterfactual replay.
 	DecisionLog     = obs.DecisionLog
 	RoutingDecision = obs.Decision
 	ForcedChoice    = serving.ForcedChoice

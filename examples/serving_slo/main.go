@@ -37,17 +37,21 @@ func main() {
 		t.AddRowf(name, rep.Throughput(), rep.TTFT.P95(), rep.TBT.P95(), rep.Goodput(ttftSLO, tbtSLO))
 	}
 
-	colo, err := serving.RunColocated(gpu, reqs, gpus, serving.ContinuousOpts{})
+	// Colocated: every GPU interleaves prefill and decode over a
+	// round-robin share of the trace.
+	colo := serving.ClusterConfig{GPU: gpu, Instances: gpus, Router: serving.RoundRobin}
+	rep, err := serving.Run(colo, reqs)
 	if err != nil {
 		log.Fatal(err)
 	}
-	add("colocated continuous", colo)
+	add("colocated continuous", &rep.Report)
 
-	chunked, err := serving.RunColocated(gpu, reqs, gpus, serving.ContinuousOpts{ChunkTokens: 128})
+	colo.Opts.ChunkTokens = 128
+	rep, err = serving.Run(colo, reqs)
 	if err != nil {
 		log.Fatal(err)
 	}
-	add("colocated + chunked prefill", chunked)
+	add("colocated + chunked prefill", &rep.Report)
 
 	for _, split := range [][2]int{{1, 3}, {2, 2}} {
 		rep, err := serving.RunDisaggregated(gpu, reqs, serving.DisaggOpts{

@@ -2,9 +2,9 @@ package dataprep
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"slices"
-	"strconv"
 
 	"dataai/internal/par"
 	"dataai/internal/token"
@@ -215,9 +215,14 @@ func (m *MinHasher) Dedup(docs []string, threshold float64) (kept []string, remo
 	sig := func(i int) []uint64 { return sigs[i*h : (i+1)*h : (i+1)*h] }
 	par.ForEach(n, m.Workers, func(i int) {
 		s := m.signature(sig(i), docs[i])
+		// A band's key is its words as 8-byte little-endian values,
+		// hashed with the band index as the seed.
 		var buf [128]byte
 		for band := 0; band < m.Bands; band++ {
-			key := appendBandKey(buf[:0], s[band*rows:(band+1)*rows])
+			key := buf[:0]
+			for _, v := range s[band*rows : (band+1)*rows] {
+				key = binary.LittleEndian.AppendUint64(key, v)
+			}
 			bandHashes[i*m.Bands+band] = token.Hash64SeedBytes(key, uint64(band))
 		}
 	})
@@ -298,19 +303,6 @@ func union(parent []int, a, b int) { parent[find(parent, a)] = find(parent, b) }
 type bandHash struct {
 	h   uint64
 	doc int
-}
-
-// appendBandKey appends band to dst as fmt.Sprint prints a []uint64,
-// "[v0 v1 ... vn]": the bytes whose hash has always been the band key.
-func appendBandKey(dst []byte, band []uint64) []byte {
-	dst = append(dst, '[')
-	for i, v := range band {
-		if i > 0 {
-			dst = append(dst, ' ')
-		}
-		dst = strconv.AppendUint(dst, v, 10)
-	}
-	return append(dst, ']')
 }
 
 // SimHash computes a 64-bit locality-sensitive fingerprint over token

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"dataai/internal/metrics"
-	"dataai/internal/obs"
 	"dataai/internal/serving"
 )
 
@@ -16,14 +15,14 @@ func init() {
 // of E23's — and 2303's medium-plan draws all land past it; with 2304
 // the medium plan fires one mid-run crash and the severe plan three, so
 // the regret gradient none → medium → severe is populated at every
-// level. Fresh plan values per run keep the replay arms independent.
+// level. A run only reads its plan, so every replay shares one.
 var e26Plans = []struct {
 	name string
-	plan func() *serving.FaultPlan
+	plan *serving.FaultPlan
 }{
-	{"none", func() *serving.FaultPlan { return nil }},
-	{"medium", func() *serving.FaultPlan { return serving.MediumFaultPlan(2304) }},
-	{"severe", func() *serving.FaultPlan { return serving.SevereFaultPlan(2304) }},
+	{"none", nil},
+	{"medium", serving.MediumFaultPlan(2304)},
+	{"severe", serving.SevereFaultPlan(2304)},
 }
 
 func runE26() (*Output, error) { return runE26Workers(3) }
@@ -32,17 +31,15 @@ func runE26() (*Output, error) { return runE26Workers(3) }
 // one fault plan: a baseline run records the decision log, then each
 // decision is replayed forced to its first runner-up while everything
 // else is re-decided live (serving.ReplayRegret).
-func e26Regret(plan func() *serving.FaultPlan, workers int) (*serving.RoutedReport, error) {
+func e26Regret(plan *serving.FaultPlan, workers int) (*serving.RoutedReport, error) {
 	gpu := serving.DefaultGPU()
 	reqs, err := decisionWorkload()
 	if err != nil {
 		return nil, err
 	}
-	run := func(dl *obs.DecisionLog, force *serving.ForcedChoice) (*serving.RoutedReport, error) {
-		return serving.RunRoutedFaults(gpu, reqs, 4, serving.BreakerAware,
-			serving.ContinuousOpts{ChunkTokens: 256, Decisions: dl, Force: force}, plan())
-	}
-	return serving.ReplayRegret(run, serving.ReplayConfig{
+	cluster := serving.ClusterConfig{GPU: gpu, Instances: 4, Router: serving.BreakerAware,
+		Opts: serving.ContinuousOpts{ChunkTokens: 256}, Faults: plan}
+	return serving.ReplayRegret(cluster, reqs, serving.ReplayConfig{
 		MaxRank: 2, Workers: workers, TTFTSLOms: 1500, TBTSLOms: 25, TopN: 5})
 }
 

@@ -107,8 +107,8 @@ func e25Cell(load, admission, sched string, tr *obs.Tracer) (*serving.RoutedRepo
 	}
 	opts := e25Opts(sched)
 	opts.Trace = tr
-	return serving.RunRoutedAdmission(serving.DefaultGPU(), reqs, e25Instances,
-		serving.CacheAware, opts, nil, serving.RecoveryConfig{}, e25Admission(admission))
+	return serving.Run(serving.ClusterConfig{GPU: serving.DefaultGPU(), Instances: e25Instances,
+		Router: serving.CacheAware, Opts: opts, Admission: e25Admission(admission)}, reqs)
 }
 
 // e25Jain is the weighted Jain index over per-tenant served output

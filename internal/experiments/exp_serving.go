@@ -61,7 +61,7 @@ func runE12() (*metrics.Table, error) {
 	t := metrics.NewTable(
 		fmt.Sprintf("E12: 4-GPU budget, goodput @ SLO(TTFT<=%.0fms, TBT<=%.0fms), 100 req/s", float64(ttftSLO), float64(tbtSLO)),
 		"architecture", "p95 TTFT", "p95 TBT", "goodput")
-	colo, err := serving.RunColocated(gpu, reqs, 4, serving.ContinuousOpts{})
+	colo, err := serving.Run(serving.ClusterConfig{GPU: gpu, Instances: 4, Router: serving.RoundRobin}, reqs)
 	if err != nil {
 		return nil, err
 	}
@@ -196,7 +196,7 @@ func runE21() (*metrics.Table, error) {
 	t := metrics.NewTable("E21: multi-instance routing (4 instances, 8 shared prefixes)",
 		"router", "prefix hit rate", "prefill tokens", "mean TTFT (ms)", "p95 TTFT")
 	for _, pol := range []serving.RouterPolicy{serving.RoundRobin, serving.CacheAware, serving.BreakerAware} {
-		rep, err := serving.RunRouted(gpu, reqs, 4, pol, serving.ContinuousOpts{})
+		rep, err := serving.Run(serving.ClusterConfig{GPU: gpu, Instances: 4, Router: pol}, reqs)
 		if err != nil {
 			return nil, err
 		}
@@ -234,7 +234,8 @@ func runE23() (*Output, error) {
 	}
 	for _, pc := range plans {
 		for _, pol := range []serving.RouterPolicy{serving.RoundRobin, serving.CacheAware, serving.BreakerAware} {
-			rep, err := serving.RunRoutedFaults(gpu, reqs, 4, pol, serving.ContinuousOpts{ChunkTokens: 256}, pc.plan)
+			rep, err := serving.Run(serving.ClusterConfig{GPU: gpu, Instances: 4, Router: pol,
+				Opts: serving.ContinuousOpts{ChunkTokens: 256}, Faults: pc.plan}, reqs)
 			if err != nil {
 				return nil, err
 			}
@@ -255,8 +256,8 @@ func runE23() (*Output, error) {
 	var lastTrace *obs.Tracer
 	for _, pol := range []serving.RouterPolicy{serving.RoundRobin, serving.CacheAware, serving.BreakerAware} {
 		tr := obs.NewTracer()
-		if _, err := serving.RunRoutedFaults(gpu, reqs, 4, pol,
-			serving.ContinuousOpts{ChunkTokens: 256, Trace: tr}, serving.SevereFaultPlan(2303)); err != nil {
+		if _, err := serving.Run(serving.ClusterConfig{GPU: gpu, Instances: 4, Router: pol,
+			Opts: serving.ContinuousOpts{ChunkTokens: 256, Trace: tr}, Faults: serving.SevereFaultPlan(2303)}, reqs); err != nil {
 			return nil, err
 		}
 		if err := tr.Check(); err != nil {
@@ -339,10 +340,10 @@ func runE24Workers(workers int) (*Output, error) {
 		err error
 	}
 	cells := sim.Sweep(grid, workers, func(cell int, coords []int) cellOut {
-		rep, err := serving.RunRoutedRecovery(gpu, reqs, 8, serving.BreakerAware,
-			serving.ContinuousOpts{ChunkTokens: 256},
-			e24Plan(grid.ValueNamed("faults", cell)),
-			e24Recovery(grid.ValueNamed("recovery", cell)))
+		rep, err := serving.Run(serving.ClusterConfig{GPU: gpu, Instances: 8, Router: serving.BreakerAware,
+			Opts:     serving.ContinuousOpts{ChunkTokens: 256},
+			Faults:   e24Plan(grid.ValueNamed("faults", cell)),
+			Recovery: e24Recovery(grid.ValueNamed("recovery", cell))}, reqs)
 		return cellOut{rep, err}
 	})
 	t := metrics.NewTable(
@@ -371,9 +372,9 @@ func runE24Workers(workers int) (*Output, error) {
 	var lastTrace *obs.Tracer
 	for _, arm := range grid.Dims[1].Values {
 		tr := obs.NewTracer()
-		if _, err := serving.RunRoutedRecovery(gpu, reqs, 8, serving.BreakerAware,
-			serving.ContinuousOpts{ChunkTokens: 256, Trace: tr},
-			e24Plan("cascade"), e24Recovery(arm)); err != nil {
+		if _, err := serving.Run(serving.ClusterConfig{GPU: gpu, Instances: 8, Router: serving.BreakerAware,
+			Opts:   serving.ContinuousOpts{ChunkTokens: 256, Trace: tr},
+			Faults: e24Plan("cascade"), Recovery: e24Recovery(arm)}, reqs); err != nil {
 			return nil, err
 		}
 		if err := tr.Check(); err != nil {

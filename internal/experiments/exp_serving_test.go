@@ -21,8 +21,8 @@ func TestE24CheckpointMigrateDominates(t *testing.T) {
 	const ttftSLO, tbtSLO = 1500, 25
 	run := func(plan, arm string) *serving.RoutedReport {
 		t.Helper()
-		rep, err := serving.RunRoutedRecovery(gpu, reqs, 8, serving.BreakerAware,
-			serving.ContinuousOpts{ChunkTokens: 256}, e24Plan(plan), e24Recovery(arm))
+		rep, err := serving.Run(serving.ClusterConfig{GPU: gpu, Instances: 8, Router: serving.BreakerAware,
+			Opts: serving.ContinuousOpts{ChunkTokens: 256}, Faults: e24Plan(plan), Recovery: e24Recovery(arm)}, reqs)
 		if err != nil {
 			t.Fatal(err)
 		}

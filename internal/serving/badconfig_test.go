@@ -7,15 +7,17 @@ import (
 	"testing"
 	"time"
 
+	"dataai/internal/obs"
 	"dataai/internal/workload"
 )
 
 // TestBadConfigsFailFast runs every serving entry point on invalid
-// configurations: a negative ChunkTokens, and a non-finite value in each
-// float field of GPUConfig. Each must return ErrConfig. A negative chunk
-// used to make the routed and colocated runs schedule iterations
-// forever, so every call runs under a deadline and a regression fails
-// the test instead of hanging it.
+// configurations: a negative ChunkTokens, a non-finite value in each
+// float field of GPUConfig, and each ContinuousOpts field the entry
+// point does not take. Each must return ErrConfig. A negative chunk
+// used to make routed runs schedule iterations forever, so every call
+// runs under a deadline and a regression fails the test instead of
+// hanging it.
 func TestBadConfigsFailFast(t *testing.T) {
 	reqs := trace(t, 5, 20, 20)
 	type entry struct {
@@ -29,16 +31,9 @@ func TestBadConfigsFailFast(t *testing.T) {
 			_, err := RunContinuous(g, reqs, o)
 			return err
 		}, true},
-		{"RunRouted", func(g GPUConfig, o ContinuousOpts) error {
-			_, err := RunRouted(g, reqs, 2, BreakerAware, o)
-			return err
-		}, true},
-		{"RunRoutedRecovery", func(g GPUConfig, o ContinuousOpts) error {
-			_, err := RunRoutedRecovery(g, reqs, 3, CacheAware, o, SevereFaultPlan(1), RecoveryConfig{CkptEveryIters: 4, Migrate: true})
-			return err
-		}, true},
-		{"RunColocated", func(g GPUConfig, o ContinuousOpts) error {
-			_, err := RunColocated(g, reqs, 2, o)
+		{"Run", func(g GPUConfig, o ContinuousOpts) error {
+			_, err := Run(ClusterConfig{GPU: g, Instances: 3, Router: CacheAware, Opts: o,
+				Faults: SevereFaultPlan(1), Recovery: RecoveryConfig{CkptEveryIters: 4, Migrate: true}}, reqs)
 			return err
 		}, true},
 		{"RunStatic", func(g GPUConfig, _ ContinuousOpts) error {
@@ -93,8 +88,50 @@ func TestBadConfigsFailFast(t *testing.T) {
 			}
 		}
 	}
+	// An option an entry point does not take is an error, not silently
+	// ignored or overwritten: Run builds every instance's KV allocator
+	// and caches, one GPU makes no routing decisions, and ReplayRegret
+	// records and forces decisions itself, untraced.
+	store, err := NewSessionStore(SessionStoreConfig{GPUCapacityTokens: 4096, Policy: LRU, PrefillTokensPerMS: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dl, force := obs.NewDecisionLog(), &ForcedChoice{Decision: 1, Rank: 2}
+	cluster := func(o ContinuousOpts) ClusterConfig {
+		return ClusterConfig{GPU: DefaultGPU(), Instances: 2, Router: BreakerAware, Opts: o}
+	}
+	type foreign struct {
+		field string
+		opts  ContinuousOpts
+	}
+	for _, e := range []struct {
+		name    string
+		run     func(ContinuousOpts) error
+		foreign []foreign
+	}{
+		{"RunContinuous", func(o ContinuousOpts) error {
+			_, err := RunContinuous(DefaultGPU(), reqs, o)
+			return err
+		}, []foreign{{"Decisions", ContinuousOpts{Decisions: dl}}, {"Force", ContinuousOpts{Force: force}}}},
+		{"Run", func(o ContinuousOpts) error {
+			_, err := Run(cluster(o), reqs)
+			return err
+		}, []foreign{{"KV", ContinuousOpts{KV: NewPagedKV(DefaultGPU())}},
+			{"Prefix", ContinuousOpts{Prefix: NewPrefixCache()}},
+			{"SessionCache", ContinuousOpts{SessionCache: store}}}},
+		{"ReplayRegret", func(o ContinuousOpts) error {
+			_, err := ReplayRegret(cluster(o), reqs, ReplayConfig{})
+			return err
+		}, []foreign{{"Trace", ContinuousOpts{Trace: obs.NewTracer()}},
+			{"Decisions", ContinuousOpts{Decisions: dl}}, {"Force", ContinuousOpts{Force: force}}}},
+	} {
+		for _, f := range e.foreign {
+			call(e.name+"/"+f.field, func() error { return e.run(f.opts) })
+		}
+	}
+
 	// The valid configuration still runs.
-	if _, err := RunRouted(DefaultGPU(), []workload.Request{{ID: "ok", PromptTokens: 8, OutputTokens: 2}}, 2, RoundRobin, ContinuousOpts{}); err != nil {
+	if _, err := Run(ClusterConfig{GPU: DefaultGPU(), Instances: 2, Router: RoundRobin}, []workload.Request{{ID: "ok", PromptTokens: 8, OutputTokens: 2}}); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
 }

@@ -17,10 +17,10 @@ import "dataai/internal/metrics"
 // internal/training's checkpoint/recovery model. Everything here is a
 // pure function of the logical clock: no wall time, no math/rand.
 
-// RecoveryConfig selects a routed run's crash-recovery policy. The zero
-// value disables all of it, making RunRoutedRecovery byte-identical to
-// RunRoutedFaults: no checkpoints, no migration, unbounded single-tier
-// prefix caches.
+// RecoveryConfig selects a cluster's crash-recovery policy
+// (ClusterConfig.Recovery). The zero value disables all of it: no
+// checkpoints, no migration, unbounded single-tier prefix caches, and
+// crashed sequences recompute from token zero.
 type RecoveryConfig struct {
 	// CkptEveryIters takes a decode-state checkpoint of every running
 	// sequence each K mixed iterations (0 disables checkpointing).

@@ -87,9 +87,9 @@ func TestDecodeClosedForm(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("RunContinuous", rep)
-	routed, err := RunRouted(gpu, reqs, 1, BreakerAware, ContinuousOpts{})
+	routed, err := Run(ClusterConfig{GPU: gpu, Instances: 1, Router: BreakerAware}, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("RunRouted", &routed.Report)
+	check("Run", &routed.Report)
 }

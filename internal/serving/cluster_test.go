@@ -41,7 +41,8 @@ func TestRouterDeterministicAcrossInstanceAndWorkerCounts(t *testing.T) {
 				t.Run(fmt.Sprintf("n%d/%s/%s", n, policy, pc.name), func(t *testing.T) {
 					const runs = 4
 					reps := par.Map(runs, runs, func(int) *RoutedReport {
-						rep, err := RunRoutedFaults(gpu, reqs, n, policy, ContinuousOpts{ChunkTokens: 256}, pc.plan)
+						rep, err := Run(ClusterConfig{GPU: gpu, Instances: n, Router: policy,
+							Opts: ContinuousOpts{ChunkTokens: 256}, Faults: pc.plan}, reqs)
 						if err != nil {
 							t.Error(err)
 							return nil
@@ -141,25 +142,34 @@ func TestClusterPeakKVIsSimultaneousHighWater(t *testing.T) {
 }
 
 func TestRoutedSingleInstanceMatchesContinuous(t *testing.T) {
-	// A cluster of one with no prefixes in the trace is exactly
-	// RunContinuous on the same engine semantics: reports must agree.
+	// A one-instance Run on a prefix-free trace is RunContinuous with
+	// a breaker and a prefix cache that never hits: under every router
+	// policy, dedicated and chunked prefill, and both KV disciplines,
+	// the two reports must be identical.
 	gpu := DefaultGPU()
 	reqs, err := workload.Generate(workload.DefaultTrace(53, 200, 40))
 	if err != nil {
 		t.Fatal(err)
 	}
-	solo, err := RunContinuous(gpu, reqs, ContinuousOpts{ChunkTokens: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	routed, err := RunRouted(gpu, reqs, 1, RoundRobin, ContinuousOpts{ChunkTokens: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if routed.MakespanMS != solo.MakespanMS || routed.OutputTokens != solo.OutputTokens ||
-		routed.PeakKVBlocks != solo.PeakKVBlocks || routed.TTFT.Mean() != solo.TTFT.Mean() {
-		t.Errorf("routed n=1 diverged from continuous: makespan %v vs %v, peak %d vs %d",
-			routed.MakespanMS, solo.MakespanMS, routed.PeakKVBlocks, solo.PeakKVBlocks)
+	for _, policy := range []RouterPolicy{RoundRobin, CacheAware, BreakerAware} {
+		for _, chunk := range []int{0, 256} {
+			for _, onDemand := range []bool{false, true} {
+				opts := ContinuousOpts{ChunkTokens: chunk, OnDemand: onDemand}
+				solo, err := RunContinuous(gpu, reqs, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				routed, err := Run(ClusterConfig{GPU: gpu, Instances: 1, Router: policy, Opts: opts}, reqs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(routed.Report, *solo) {
+					t.Errorf("%s chunk=%d ondemand=%t: one-instance Run diverged from RunContinuous: makespan %v vs %v, peak %d vs %d, preemptions %d vs %d",
+						policy, chunk, onDemand, routed.MakespanMS, solo.MakespanMS,
+						routed.PeakKVBlocks, solo.PeakKVBlocks, routed.Preemptions, solo.Preemptions)
+				}
+			}
+		}
 	}
 }
 
@@ -296,7 +306,8 @@ func TestBreakerAwareWinsGoodputUnderSevereFaults(t *testing.T) {
 	plan := SevereFaultPlan(2303)
 	goodput := map[RouterPolicy]float64{}
 	for _, pol := range []RouterPolicy{RoundRobin, CacheAware, BreakerAware} {
-		rep, err := RunRoutedFaults(gpu, reqs, 4, pol, ContinuousOpts{ChunkTokens: 256}, plan)
+		rep, err := Run(ClusterConfig{GPU: gpu, Instances: 4, Router: pol,
+			Opts: ContinuousOpts{ChunkTokens: 256}, Faults: plan}, reqs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -342,7 +353,8 @@ func TestDuplicateIDsServeLikeDistinct(t *testing.T) {
 			return &RoutedReport{Report: *rep}, nil
 		}},
 		{"routed-1", pair, func(reqs []workload.Request) (*RoutedReport, error) {
-			return RunRoutedRecovery(DefaultGPU(), reqs, 1, BreakerAware, ContinuousOpts{}, nil, rec)
+			return Run(ClusterConfig{GPU: DefaultGPU(), Instances: 1, Router: BreakerAware,
+				Recovery: rec}, reqs)
 		}},
 		{"continuous-trace", trace, func(reqs []workload.Request) (*RoutedReport, error) {
 			rep, err := RunContinuous(DefaultGPU(), reqs, ContinuousOpts{ChunkTokens: 256, OnDemand: true})
@@ -352,8 +364,8 @@ func TestDuplicateIDsServeLikeDistinct(t *testing.T) {
 			return &RoutedReport{Report: *rep}, nil
 		}},
 		{"routed-4-ckpt-migrate", trace, func(reqs []workload.Request) (*RoutedReport, error) {
-			return RunRoutedRecovery(DefaultGPU(), reqs, 4, BreakerAware,
-				ContinuousOpts{ChunkTokens: 256}, SevereFaultPlan(2303), rec)
+			return Run(ClusterConfig{GPU: DefaultGPU(), Instances: 4, Router: BreakerAware,
+				Opts: ContinuousOpts{ChunkTokens: 256}, Faults: SevereFaultPlan(2303), Recovery: rec}, reqs)
 		}},
 	}
 	withoutIDs := func(rep *RoutedReport) *RoutedReport {

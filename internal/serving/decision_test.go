@@ -120,8 +120,8 @@ func TestDecisionLogRecordsRoutedRun(t *testing.T) {
 	gpu := DefaultGPU()
 	reqs := decisionTrace(t, 91, 120)
 	dl := obs.NewDecisionLog()
-	rep, err := RunRoutedFaults(gpu, reqs, 4, BreakerAware,
-		ContinuousOpts{ChunkTokens: 256, Decisions: dl}, SevereFaultPlan(2303))
+	rep, err := Run(ClusterConfig{GPU: gpu, Instances: 4, Router: BreakerAware,
+		Opts: ContinuousOpts{ChunkTokens: 256, Decisions: dl}, Faults: SevereFaultPlan(2303)}, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,8 +177,8 @@ func TestDecisionLogRecordsRoutedRun(t *testing.T) {
 
 	// The identical run records the identical log.
 	dl2 := obs.NewDecisionLog()
-	if _, err := RunRoutedFaults(gpu, reqs, 4, BreakerAware,
-		ContinuousOpts{ChunkTokens: 256, Decisions: dl2}, SevereFaultPlan(2303)); err != nil {
+	if _, err := Run(ClusterConfig{GPU: gpu, Instances: 4, Router: BreakerAware,
+		Opts: ContinuousOpts{ChunkTokens: 256, Decisions: dl2}, Faults: SevereFaultPlan(2303)}, reqs); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(decs, dl2.Decisions()) {
@@ -193,8 +193,8 @@ func TestTracedDecisionRunPassesCheck(t *testing.T) {
 	reqs := decisionTrace(t, 91, 120)
 	tr := obs.NewTracer()
 	dl := obs.NewDecisionLog()
-	if _, err := RunRoutedFaults(gpu, reqs, 4, BreakerAware,
-		ContinuousOpts{ChunkTokens: 256, Trace: tr, Decisions: dl}, SevereFaultPlan(2303)); err != nil {
+	if _, err := Run(ClusterConfig{GPU: gpu, Instances: 4, Router: BreakerAware,
+		Opts: ContinuousOpts{ChunkTokens: 256, Trace: tr, Decisions: dl}, Faults: SevereFaultPlan(2303)}, reqs); err != nil {
 		t.Fatal(err)
 	}
 	if tr.Decisions() != dl {
@@ -219,8 +219,8 @@ func TestReplayRank1Identity(t *testing.T) {
 	for _, pc := range plans {
 		t.Run(pc.name, func(t *testing.T) {
 			dl := obs.NewDecisionLog()
-			base, err := RunRoutedFaults(gpu, reqs, 4, BreakerAware,
-				ContinuousOpts{ChunkTokens: 256, Decisions: dl}, pc.plan)
+			base, err := Run(ClusterConfig{GPU: gpu, Instances: 4, Router: BreakerAware,
+				Opts: ContinuousOpts{ChunkTokens: 256, Decisions: dl}, Faults: pc.plan}, reqs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -230,9 +230,8 @@ func TestReplayRank1Identity(t *testing.T) {
 			}
 			for _, workers := range []int{1, 8} {
 				reps := par.Map(n, workers, func(i int) *RoutedReport {
-					rep, err := RunRoutedFaults(gpu, reqs, 4, BreakerAware,
-						ContinuousOpts{ChunkTokens: 256, Force: &ForcedChoice{Decision: uint64(i + 1), Rank: 1}},
-						pc.plan)
+					rep, err := Run(ClusterConfig{GPU: gpu, Instances: 4, Router: BreakerAware,
+						Opts: ContinuousOpts{ChunkTokens: 256, Force: &ForcedChoice{Decision: uint64(i + 1), Rank: 1}}, Faults: pc.plan}, reqs)
 					if err != nil {
 						t.Error(err)
 						return nil
@@ -258,8 +257,8 @@ func TestForcedAlternativeChangesDelivery(t *testing.T) {
 	gpu := DefaultGPU()
 	reqs := decisionTrace(t, 91, 100)
 	dl := obs.NewDecisionLog()
-	base, err := RunRoutedFaults(gpu, reqs, 4, BreakerAware,
-		ContinuousOpts{ChunkTokens: 256, Decisions: dl}, nil)
+	base, err := Run(ClusterConfig{GPU: gpu, Instances: 4, Router: BreakerAware,
+		Opts: ContinuousOpts{ChunkTokens: 256, Decisions: dl}}, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,8 +266,8 @@ func TestForcedAlternativeChangesDelivery(t *testing.T) {
 	if !ok || d.Kind != obs.DecisionArrival {
 		t.Fatalf("decision 1 = %+v, %v", d, ok)
 	}
-	forced, err := RunRoutedFaults(gpu, reqs, 4, BreakerAware,
-		ContinuousOpts{ChunkTokens: 256, Force: &ForcedChoice{Decision: 1, Rank: 2}}, nil)
+	forced, err := Run(ClusterConfig{GPU: gpu, Instances: 4, Router: BreakerAware,
+		Opts: ContinuousOpts{ChunkTokens: 256, Force: &ForcedChoice{Decision: 1, Rank: 2}}}, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,18 +284,16 @@ func TestForcedAlternativeChangesDelivery(t *testing.T) {
 func TestReplayRegretWorkerInvariance(t *testing.T) {
 	gpu := DefaultGPU()
 	reqs := decisionTrace(t, 91, 80)
-	run := func(dl *obs.DecisionLog, force *ForcedChoice) (*RoutedReport, error) {
-		return RunRoutedFaults(gpu, reqs, 4, BreakerAware,
-			ContinuousOpts{ChunkTokens: 256, Decisions: dl, Force: force}, MediumFaultPlan(2303))
-	}
+	cluster := ClusterConfig{GPU: gpu, Instances: 4, Router: BreakerAware,
+		Opts: ContinuousOpts{ChunkTokens: 256}, Faults: MediumFaultPlan(2303)}
 	cfg := ReplayConfig{MaxRank: 3, TTFTSLOms: 1500, TBTSLOms: 25, TopN: 5}
 	cfg.Workers = 1
-	serial, err := ReplayRegret(run, cfg)
+	serial, err := ReplayRegret(cluster, reqs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Workers = 8
-	parallel, err := ReplayRegret(run, cfg)
+	parallel, err := ReplayRegret(cluster, reqs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

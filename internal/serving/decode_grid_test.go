@@ -68,8 +68,8 @@ type gridConfig struct {
 // 8 instances, reserve-full and OnDemand KV, FCFS, priority and SJF
 // scheduling (the last two with batch preemption), dedicated and
 // chunked prefill, each on an untraced seed and a traced seed with a
-// decision log; then RunContinuous and RunColocated over KV mode and
-// chunking on the same two seeds.
+// decision log; then RunContinuous over KV mode and chunking on the
+// same two seeds.
 func decodeGrid() []gridConfig {
 	type plan struct {
 		name string
@@ -108,7 +108,8 @@ func decodeGrid() []gridConfig {
 											ChunkTokens: chunk, OnDemand: onDemand, Sched: sc.sched,
 											PreemptBatch: sc.preempt, Trace: tr, Decisions: dl,
 										}
-										return RunRoutedRecovery(gridGPU(), reqs, n, policy, opts, p.plan(), p.rec)
+										return Run(ClusterConfig{GPU: gridGPU(), Instances: n, Router: policy,
+											Opts: opts, Faults: p.plan(), Recovery: p.rec}, reqs)
 									},
 								})
 							}
@@ -120,29 +121,17 @@ func decodeGrid() []gridConfig {
 		for _, onDemand := range []bool{false, true} {
 			for _, chunk := range []int{0, 256} {
 				onDemand, chunk := onDemand, chunk
-				grid = append(grid,
-					gridConfig{
-						name:   fmt.Sprintf("continuous/ondemand=%t/chunk%d/traced=%t", onDemand, chunk, traced),
-						traced: traced,
-						run: func(reqs []workload.Request, tr *obs.Tracer, _ *obs.DecisionLog) (*RoutedReport, error) {
-							rep, err := RunContinuous(gridGPU(), reqs, ContinuousOpts{ChunkTokens: chunk, OnDemand: onDemand, Trace: tr})
-							if err != nil {
-								return nil, err
-							}
-							return &RoutedReport{Report: *rep}, nil
-						},
+				grid = append(grid, gridConfig{
+					name:   fmt.Sprintf("continuous/ondemand=%t/chunk%d/traced=%t", onDemand, chunk, traced),
+					traced: traced,
+					run: func(reqs []workload.Request, tr *obs.Tracer, _ *obs.DecisionLog) (*RoutedReport, error) {
+						rep, err := RunContinuous(gridGPU(), reqs, ContinuousOpts{ChunkTokens: chunk, OnDemand: onDemand, Trace: tr})
+						if err != nil {
+							return nil, err
+						}
+						return &RoutedReport{Report: *rep}, nil
 					},
-					gridConfig{
-						name:   fmt.Sprintf("colocated/n3/ondemand=%t/chunk%d/traced=%t", onDemand, chunk, traced),
-						traced: traced,
-						run: func(reqs []workload.Request, tr *obs.Tracer, _ *obs.DecisionLog) (*RoutedReport, error) {
-							rep, err := RunColocated(gridGPU(), reqs, 3, ContinuousOpts{ChunkTokens: chunk, OnDemand: onDemand, Trace: tr})
-							if err != nil {
-								return nil, err
-							}
-							return &RoutedReport{Report: *rep}, nil
-						},
-					})
+				})
 			}
 		}
 	}

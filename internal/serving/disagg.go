@@ -31,60 +31,6 @@ type DisaggOpts struct {
 	Trace *obs.Tracer
 }
 
-// RunColocated serves the trace on n identical GPUs, each running
-// continuous batching over a round-robin share — the baseline where
-// every GPU interleaves prefill and decode and prefills stall decodes.
-// All instances run as event processes on one shared sim.Engine clock.
-func RunColocated(gpu GPUConfig, reqs []workload.Request, n int, opts ContinuousOpts) (*Report, error) {
-	if err := gpu.Validate(); err != nil {
-		return nil, err
-	}
-	if n < 1 {
-		return nil, fmt.Errorf("%w: gpus %d", ErrConfig, n)
-	}
-	if opts.ChunkTokens < 0 {
-		return nil, fmt.Errorf("%w: chunk tokens %d", ErrConfig, opts.ChunkTokens)
-	}
-	ordered := arrivalOrder(reqs)
-
-	eng := sim.NewEngine()
-	pool := &seqPool{}
-	perInst := make([][]Result, n)
-	insts := make([]*instance, n)
-	shares := make([][]workload.Request, n)
-	for i := range insts {
-		i := i
-		shareOpts := opts
-		shareOpts.KV = nil // each GPU owns its cache
-		insts[i] = newInstance(i, gpu, shareOpts, eng, pool, func(float64) *Result { return nextResult(&perInst[i]) })
-	}
-	for i, r := range ordered {
-		shares[i%n] = append(shares[i%n], r)
-	}
-	for i, share := range shares {
-		i := i
-		scheduleArrivals(eng, gpu, share, insts[i], pool, func(r Result) { perInst[i] = append(perInst[i], r) })
-	}
-	eng.Run()
-
-	var all []Result
-	peak := 0
-	preemptions := 0
-	for i, inst := range insts {
-		for j := 0; j < inst.waiting.Len(); j++ {
-			s := inst.waiting.At(j)
-			perInst[i] = append(perInst[i], Result{Req: s.req, Rejected: true})
-		}
-		all = append(all, perInst[i]...)
-		peak += inst.kv.PeakBlocks()
-		preemptions += inst.preemptions
-	}
-	rep := buildReport(all)
-	rep.PeakKVBlocks = peak
-	rep.Preemptions = preemptions
-	return rep, nil
-}
-
 // RunDisaggregated serves the trace with prefill and decode on separate
 // GPU pools. Prefill instances each process one prompt at a time FCFS;
 // finished KV ships to decode instances round-robin in readiness order;

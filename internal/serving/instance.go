@@ -95,11 +95,10 @@ type instance struct {
 
 	preemptions int
 
-	// rec, when non-nil, is the routed cluster's shared crash-recovery
-	// policy and accounting (ckpt.go); the cluster installs it after
-	// construction, so standalone runs keep nil and change nothing.
-	// sinceCkpt counts mixed iterations since the last checkpoint
-	// capture.
+	// rec, when non-nil, is the cluster's shared crash-recovery policy
+	// and accounting (ckpt.go); the cluster installs it after
+	// construction. sinceCkpt counts mixed iterations since the last
+	// checkpoint capture.
 	rec       *recovery
 	sinceCkpt int
 
@@ -119,8 +118,8 @@ type instance struct {
 	// its Result is written into.
 	onFinish func(now float64) *Result
 	// onDrop receives the sequences lost to a crash, in drop order, for
-	// the cluster router to re-route; nil means standalone runs, which
-	// never crash.
+	// the cluster router to re-route; nil for an instance built outside
+	// a cluster.
 	onDrop func(now float64, dropped []*seqState)
 }
 
@@ -808,26 +807,4 @@ func (in *instance) setSlowdown(factor float64) {
 		factor = 1
 	}
 	in.slow = factor
-}
-
-// scheduleArrivals streams one engine event per request, in stable
-// arrival order, delivering each to inst: requests whose footprint can
-// never fit are rejected at arrival, mirroring the historical loop's
-// ingest check. reqs must already be sorted by ArrivalMS (stable). One
-// shared ArgHandler carries the request index, and the stream queues
-// one arrival at a time, so n arrivals cost neither n closures nor n
-// queued events.
-func scheduleArrivals(eng *sim.Engine, gpu GPUConfig, reqs []workload.Request, inst *instance, pool *seqPool, reject func(Result)) {
-	capacityTokens := inst.kv.Capacity() * gpu.BlockSize
-	deliver := func(now float64, i uint64) {
-		r := &reqs[i]
-		footprint := r.PromptTokens + r.OutputTokens
-		if footprint > capacityTokens || footprint > gpu.MaxSeqLen {
-			traceRejectArrival(inst.trace, now, *r)
-			reject(Result{Req: *r, Rejected: true})
-			return
-		}
-		inst.arrive(now, pool.get(*r))
-	}
-	eng.Stream(len(reqs), func(i int) float64 { return reqs[i].ArrivalMS }, deliver)
 }

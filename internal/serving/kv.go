@@ -341,8 +341,12 @@ func coldestPrefix(m map[string]*prefixEntry) string {
 	return vid
 }
 
-// Stats reports hit/miss counts (host-tier hits included in hits).
+// Stats reports hit/miss counts (host-tier hits included in hits); a nil
+// cache reports zeros, as TierStats does.
 func (pc *PrefixCache) Stats() (hits, misses int) {
+	if pc == nil {
+		return 0, 0
+	}
 	return pc.hits, pc.misses
 }
 
@@ -350,6 +354,9 @@ func (pc *PrefixCache) Stats() (hits, misses int) {
 // tier and prefixes demoted off the device tier. Both are zero for an
 // unbounded single-tier cache.
 func (pc *PrefixCache) TierStats() (cpuHits, demotions int) {
+	if pc == nil {
+		return 0, 0
+	}
 	return pc.cpuHits, pc.demotions
 }
 

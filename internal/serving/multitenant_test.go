@@ -190,8 +190,8 @@ func TestRoutedAdmissionShedsOverload(t *testing.T) {
 	}
 	weights := map[string]float64{"chat": 0.30, "bulk-a": 0.45, "bulk-b": 0.25}
 	run := func(adm AdmissionConfig) *RoutedReport {
-		rep, err := RunRoutedAdmission(DefaultGPU(), reqs, 2, CacheAware,
-			ContinuousOpts{ChunkTokens: 256}, nil, RecoveryConfig{}, adm)
+		rep, err := Run(ClusterConfig{GPU: DefaultGPU(), Instances: 2, Router: CacheAware,
+			Opts: ContinuousOpts{ChunkTokens: 256}, Admission: adm}, reqs)
 		if err != nil {
 			t.Fatal(err)
 		}

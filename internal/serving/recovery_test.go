@@ -1,6 +1,7 @@
 package serving
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -41,11 +42,13 @@ func (in *instance) queueLoadScan() int {
 }
 
 // TestPostDrainInvariants is the leak check behind every fault plan:
-// once a routed run returns, no instance may still hold KV blocks or
-// KV handles, the sequence pool must have every seqState back
+// once a run returns, no instance may still hold KV blocks or KV
+// handles, the sequence pool must have every seqState back
 // (outstanding == 0), and every pooled seqState must be zero — finished
 // and drain-rejected sequences both drop their checkpoints, span refs
-// and progress on the way back.
+// and progress on the way back. It drains Run's clusters under every
+// plan and recovery arm, and RunContinuous's one-instance cluster in
+// both KV disciplines.
 func TestPostDrainInvariants(t *testing.T) {
 	reqs := prefixTrace(t, 83)
 	plans := map[string]*FaultPlan{
@@ -56,56 +59,50 @@ func TestPostDrainInvariants(t *testing.T) {
 	}
 	for planName, plan := range plans {
 		for armName, rec := range recoveryArms() {
-			rep, c, err := runRoutedCluster(DefaultGPU(), reqs, 4, BreakerAware,
-				ContinuousOpts{ChunkTokens: 256}, plan, rec, AdmissionConfig{})
+			rep, c, err := runCluster(ClusterConfig{GPU: DefaultGPU(), Instances: 4, Router: BreakerAware,
+				Opts: ContinuousOpts{ChunkTokens: 256}, Faults: plan, Recovery: rec}, reqs)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", planName, armName, err)
 			}
-			if len(rep.Results) != len(reqs) {
-				t.Errorf("%s/%s: %d results for %d requests", planName, armName, len(rep.Results), len(reqs))
-			}
-			for i, in := range c.insts {
-				if used := in.kv.UsedBlocks(); used != 0 {
-					t.Errorf("%s/%s: instance %d still holds %d KV blocks after drain", planName, armName, i, used)
-				}
-				if len(in.kvFree) != in.kvNext {
-					t.Errorf("%s/%s: instance %d has %d of %d KV handles free after drain", planName, armName, i, len(in.kvFree), in.kvNext)
-				}
-				if in.load != 0 || in.queueLoadScan() != 0 {
-					t.Errorf("%s/%s: instance %d load counter %d (scan %d) after drain, want 0",
-						planName, armName, i, in.load, in.queueLoadScan())
-				}
-			}
-			if c.pool.outstanding != 0 {
-				t.Errorf("%s/%s: %d sequences never returned to the pool", planName, armName, c.pool.outstanding)
-			}
-			for _, s := range c.pool.free {
-				if *s != (seqState{}) {
-					t.Errorf("%s/%s: pooled sequence kept state (checkpoint %d): %+v", planName, armName, s.ckpt, *s)
-					break
-				}
-			}
+			checkDrained(t, planName+"/"+armName, &rep.Report, c, len(reqs))
 		}
+	}
+	for _, onDemand := range []bool{false, true} {
+		rep, c, err := runContinuous(DefaultGPU(), reqs, ContinuousOpts{ChunkTokens: 256, OnDemand: onDemand})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkDrained(t, fmt.Sprintf("continuous/ondemand=%t", onDemand), rep, c, len(reqs))
 	}
 }
 
-// TestRecoveryZeroConfigMatchesFaults pins the compatibility seam:
-// RunRoutedRecovery with a zero RecoveryConfig is the same simulation
-// as RunRoutedFaults, report and all.
-func TestRecoveryZeroConfigMatchesFaults(t *testing.T) {
-	reqs := prefixTrace(t, 47)
-	old, err := RunRoutedFaults(DefaultGPU(), reqs, 4, BreakerAware,
-		ContinuousOpts{ChunkTokens: 256}, SevereFaultPlan(2303))
-	if err != nil {
-		t.Fatal(err)
+// checkDrained asserts TestPostDrainInvariants' post-run state on one
+// drained cluster that served n requests.
+func checkDrained(t *testing.T, name string, rep *Report, c *cluster, n int) {
+	t.Helper()
+	if len(rep.Results) != n {
+		t.Errorf("%s: %d results for %d requests", name, len(rep.Results), n)
 	}
-	rec, err := RunRoutedRecovery(DefaultGPU(), reqs, 4, BreakerAware,
-		ContinuousOpts{ChunkTokens: 256}, SevereFaultPlan(2303), RecoveryConfig{})
-	if err != nil {
-		t.Fatal(err)
+	for i, in := range c.insts {
+		if used := in.kv.UsedBlocks(); used != 0 {
+			t.Errorf("%s: instance %d still holds %d KV blocks after drain", name, i, used)
+		}
+		if len(in.kvFree) != in.kvNext {
+			t.Errorf("%s: instance %d has %d of %d KV handles free after drain", name, i, len(in.kvFree), in.kvNext)
+		}
+		if in.load != 0 || in.queueLoadScan() != 0 {
+			t.Errorf("%s: instance %d load counter %d (scan %d) after drain, want 0",
+				name, i, in.load, in.queueLoadScan())
+		}
 	}
-	if !reflect.DeepEqual(old, rec) {
-		t.Error("zero RecoveryConfig changed the routed report")
+	if c.pool.outstanding != 0 {
+		t.Errorf("%s: %d sequences never returned to the pool", name, c.pool.outstanding)
+	}
+	for _, s := range c.pool.free {
+		if *s != (seqState{}) {
+			t.Errorf("%s: pooled sequence kept state (checkpoint %d): %+v", name, s.ckpt, *s)
+			break
+		}
 	}
 }
 
@@ -156,13 +153,13 @@ func TestCheckpointStore(t *testing.T) {
 func TestCheckpointCutsWastedRecompute(t *testing.T) {
 	reqs := prefixTrace(t, 47)
 	plan := SevereFaultPlan(2303)
-	base, err := RunRoutedRecovery(DefaultGPU(), reqs, 4, BreakerAware,
-		ContinuousOpts{ChunkTokens: 256}, plan, RecoveryConfig{})
+	base, err := Run(ClusterConfig{GPU: DefaultGPU(), Instances: 4, Router: BreakerAware,
+		Opts: ContinuousOpts{ChunkTokens: 256}, Faults: plan}, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ck, err := RunRoutedRecovery(DefaultGPU(), reqs, 4, BreakerAware,
-		ContinuousOpts{ChunkTokens: 256}, plan, RecoveryConfig{CkptEveryIters: 8})
+	ck, err := Run(ClusterConfig{GPU: DefaultGPU(), Instances: 4, Router: BreakerAware,
+		Opts: ContinuousOpts{ChunkTokens: 256}, Faults: plan, Recovery: RecoveryConfig{CkptEveryIters: 8}}, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,8 +196,8 @@ func TestMigrationTraceInvariants(t *testing.T) {
 	tr := obs.NewTracer()
 	rec := RecoveryConfig{CkptEveryIters: 8, Migrate: true, MigrateMinTokens: 64,
 		PrefixGPUTokens: 1024, PrefixCPUTokens: 8192}
-	rep, err := RunRoutedRecovery(DefaultGPU(), reqs, 8, BreakerAware,
-		ContinuousOpts{ChunkTokens: 256, Trace: tr}, CascadeFaultPlan(2403, 4), rec)
+	rep, err := Run(ClusterConfig{GPU: DefaultGPU(), Instances: 8, Router: BreakerAware,
+		Opts: ContinuousOpts{ChunkTokens: 256, Trace: tr}, Faults: CascadeFaultPlan(2403, 4), Recovery: rec}, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,8 +234,8 @@ func TestMigrationDeterministic(t *testing.T) {
 	reqs := prefixTrace(t, 83)
 	rec := RecoveryConfig{CkptEveryIters: 8, Migrate: true, PrefixGPUTokens: 1024, PrefixCPUTokens: 8192}
 	run := func() *RoutedReport {
-		rep, err := RunRoutedRecovery(DefaultGPU(), reqs, 4, BreakerAware,
-			ContinuousOpts{ChunkTokens: 256}, CascadeFaultPlan(2303, 2), rec)
+		rep, err := Run(ClusterConfig{GPU: DefaultGPU(), Instances: 4, Router: BreakerAware,
+			Opts: ContinuousOpts{ChunkTokens: 256}, Faults: CascadeFaultPlan(2303, 2), Recovery: rec}, reqs)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,10 +1,12 @@
 package serving
 
 import (
+	"fmt"
 	"sort"
 
 	"dataai/internal/obs"
 	"dataai/internal/par"
+	"dataai/internal/workload"
 )
 
 // ForcedChoice pins one routing decision to a ranked alternative during
@@ -19,16 +21,6 @@ type ForcedChoice struct {
 	Decision uint64
 	Rank     int
 }
-
-// ReplayRun runs one deterministic routed simulation: recording
-// decisions into dl when non-nil, forcing one decision when force is
-// non-nil. ReplayRegret calls it once to record the baseline and once
-// per (decision, rank) counterfactual arm; implementations just thread
-// the two values into ContinuousOpts (Decisions, Force) and must be
-// safe to call concurrently — every call builds its own engine,
-// instances, and fault-plan draws from the same seeds, which is exactly
-// what the RunRouted* entry points do.
-type ReplayRun func(dl *obs.DecisionLog, force *ForcedChoice) (*RoutedReport, error)
 
 // ReplayConfig parameterizes ReplayRegret.
 type ReplayConfig struct {
@@ -103,7 +95,7 @@ type RegretSummary struct {
 }
 
 // ReplayRegret prices every routing decision of a deterministic routed
-// run by counterfactual replay. It calls run once with a fresh
+// run by counterfactual replay. It runs cluster once with a fresh
 // DecisionLog to record the baseline, then re-runs the identical
 // simulation — same trace, fault plan, and seeds — once per
 // (decision, rank ∈ [2, MaxRank]) pair, each replay forcing exactly
@@ -111,13 +103,25 @@ type RegretSummary struct {
 // decision is re-decided live by the policy. Each forced run is priced
 // against the baseline (see AltOutcome), and the per-decision worst
 // case becomes the decision's regret: what the recorded choice saved.
+// ReplayRegret sets each run's Opts.Decisions and Opts.Force itself and
+// runs untraced, so cluster.Opts must leave Trace, Decisions and Force
+// nil. Every run builds its own engine and instances; a FaultPlan is
+// only read during a run, so the concurrent replays share one.
 //
 // The replay batch fans out through par.Map with ordered commits and
 // the aggregation is serial in decision order, so the returned summary
 // (and any table rendered from it) is byte-identical at every worker
 // count. The returned report is the baseline run's, with Regret
 // attached.
-func ReplayRegret(run ReplayRun, cfg ReplayConfig) (*RoutedReport, error) {
+func ReplayRegret(cluster ClusterConfig, reqs []workload.Request, cfg ReplayConfig) (*RoutedReport, error) {
+	if o := cluster.Opts; o.Trace != nil || o.Decisions != nil || o.Force != nil {
+		return nil, fmt.Errorf("%w: ReplayRegret records and forces decisions itself and runs untraced; leave ContinuousOpts.Trace, .Decisions and .Force nil", ErrConfig)
+	}
+	run := func(dl *obs.DecisionLog, force *ForcedChoice) (*RoutedReport, error) {
+		c := cluster
+		c.Opts.Decisions, c.Opts.Force = dl, force
+		return Run(c, reqs)
+	}
 	maxRank := cfg.MaxRank
 	if maxRank < 2 {
 		maxRank = 2

@@ -151,15 +151,19 @@ const (
 // skip exactly. 1e18 dwarfs openPenalty plus any achievable token load.
 const excludedPenalty = 1e18
 
-// cluster is a routed serving run in flight: n instances on one engine,
-// a router making per-arrival decisions from live state, and optional
-// fault windows.
+// cluster is a serving run in flight: n instances on one engine, a
+// router making per-arrival decisions from live state, and optional
+// fault windows. Run's clusters give every instance a breaker and a
+// shared KV tally; RunContinuous's one-instance cluster has neither.
 type cluster struct {
 	eng      *sim.Engine
+	gpu      GPUConfig
 	insts    []*instance
-	prefixes []*PrefixCache
-	breakers []*resilient.Breaker
+	breakers []*resilient.Breaker // nil: no breakers
 	policy   RouterPolicy
+	plan     *FaultPlan
+	// tally, when non-nil, is the instances' shared KV occupancy.
+	tally *clusterTally
 
 	rr         int // RoundRobin rotation counter
 	pending    int // requests arrived-or-scheduled and not yet resolved
@@ -169,8 +173,8 @@ type cluster struct {
 	results    []Result
 	pool       seqPool
 
-	// rec is the run's crash-recovery policy and accounting; always
-	// non-nil for routed runs, inert when the RecoveryConfig is zero.
+	// rec is the run's crash-recovery policy and accounting; never nil,
+	// inert when the RecoveryConfig is zero.
 	rec *recovery
 
 	// adm is the run's per-tenant admission controller; nil when the
@@ -424,114 +428,113 @@ func (c *cluster) rerouteAttrs(from, to int) []obs.Attr {
 	return []obs.Attr{obs.I("from", int64(from)), obs.I("to", int64(to))}
 }
 
-// RunRouted serves the trace on n instances behind an online router:
-// every request is assigned at its arrival instant from the cluster's
-// live state (queue load, breaker state, cache affinity), with all
-// instances sharing one discrete-event clock. Every instance gets its
-// own prefix cache (and session store when sessions appear in the
-// trace); the routing policy decides which instance's cache a request
-// can hit.
-func RunRouted(gpu GPUConfig, reqs []workload.Request, n int, policy RouterPolicy, opts ContinuousOpts) (*RoutedReport, error) {
-	return RunRoutedFaults(gpu, reqs, n, policy, opts, nil)
+// ClusterConfig configures a Run.
+type ClusterConfig struct {
+	// GPU is every instance's cost model.
+	GPU GPUConfig
+	// Instances is the cluster size (at least 1).
+	Instances int
+	// Router picks each arrival's instance; the zero value is RoundRobin.
+	Router RouterPolicy
+	// Opts configures every instance's batching and the run's trace,
+	// decision log and forced choice. Run builds each instance's KV
+	// allocator, prefix cache and session store, so KV, Prefix and
+	// SessionCache must be nil.
+	Opts ContinuousOpts
+	// Faults, when non-nil, crashes and slows instances on seeded
+	// windows; circuit breakers observe the crashes, and the router
+	// re-routes the sequences a crash drops.
+	Faults *FaultPlan
+	// Recovery selects checkpoints, live migration and tiered prefix
+	// caches; the zero value recomputes crashed sequences from scratch.
+	Recovery RecoveryConfig
+	// Admission selects per-tenant token-bucket admission at the
+	// router; the zero value admits every request.
+	Admission AdmissionConfig
 }
 
-// RunRoutedFaults is RunRouted under a cluster fault plan: instances
-// crash and recover on seeded windows (dropping their in-flight
-// sequences back through the router after a detection delay), straggler
-// windows slow them down, and per-instance circuit breakers observe the
-// failures — which the BreakerAware policy folds into its routing score.
-// A nil plan injects nothing. Crashed sequences recompute from token
-// zero; see RunRoutedRecovery for checkpointed recovery.
-func RunRoutedFaults(gpu GPUConfig, reqs []workload.Request, n int, policy RouterPolicy, opts ContinuousOpts, plan *FaultPlan) (*RoutedReport, error) {
-	return RunRoutedRecovery(gpu, reqs, n, policy, opts, plan, RecoveryConfig{})
+// validate checks what every cluster needs, whoever built it.
+func (cfg ClusterConfig) validate() error {
+	if err := cfg.GPU.Validate(); err != nil {
+		return err
+	}
+	if cfg.Instances < 1 {
+		return fmt.Errorf("%w: instances %d", ErrConfig, cfg.Instances)
+	}
+	if cfg.Opts.ChunkTokens < 0 {
+		return fmt.Errorf("%w: chunk tokens %d", ErrConfig, cfg.Opts.ChunkTokens)
+	}
+	return nil
 }
 
-// RunRoutedRecovery is RunRoutedFaults with a crash-recovery policy:
-// periodic decode-state checkpoints let re-routed sequences resume from
-// host memory instead of recomputing, live migration drains long
-// sessions off distressed instances, and tiered prefix caches demote
-// cold prefixes to a crash-surviving CPU tier under pressure (see
-// RecoveryConfig). A zero rec reproduces RunRoutedFaults byte for byte.
+// Run serves the trace on cfg.Instances instances behind an online
+// router: every request is assigned at its arrival instant from the
+// cluster's live state (queue load, breaker state, cache affinity), with
+// all instances sharing one discrete-event clock. Every instance gets
+// its own paged KV allocator and prefix cache, and its own session store
+// when sessions appear in the trace; the routing policy decides which
+// instance's cache a request can hit.
+func Run(cfg ClusterConfig, reqs []workload.Request) (*RoutedReport, error) {
+	rep, _, err := runCluster(cfg, reqs)
+	return rep, err
+}
+
+// RunRoutedRecovery is Run without admission control.
+//
+// Deprecated: use Run.
 func RunRoutedRecovery(gpu GPUConfig, reqs []workload.Request, n int, policy RouterPolicy, opts ContinuousOpts, plan *FaultPlan, rec RecoveryConfig) (*RoutedReport, error) {
-	rep, _, err := runRoutedCluster(gpu, reqs, n, policy, opts, plan, rec, AdmissionConfig{})
-	return rep, err
+	return Run(ClusterConfig{GPU: gpu, Instances: n, Router: policy, Opts: opts, Faults: plan, Recovery: rec}, reqs)
 }
 
-// RunRoutedAdmission is RunRoutedRecovery with per-tenant token-bucket
-// admission control at the router: each tenant's trace-token demand
-// (prompt + output) is charged against a weighted bucket, and requests
-// the bucket cannot cover are rejected or held per adm.Policy before any
-// instance sees them. A zero adm reproduces RunRoutedRecovery byte for
-// byte.
+// RunRoutedAdmission is Run with every ClusterConfig field as an
+// argument.
+//
+// Deprecated: use Run.
 func RunRoutedAdmission(gpu GPUConfig, reqs []workload.Request, n int, policy RouterPolicy, opts ContinuousOpts, plan *FaultPlan, rec RecoveryConfig, adm AdmissionConfig) (*RoutedReport, error) {
-	rep, _, err := runRoutedCluster(gpu, reqs, n, policy, opts, plan, rec, adm)
-	return rep, err
+	return Run(ClusterConfig{GPU: gpu, Instances: n, Router: policy, Opts: opts, Faults: plan, Recovery: rec, Admission: adm}, reqs)
 }
 
-// runRoutedCluster is the routed entry points' shared engine room. It
-// returns the drained cluster alongside the report so invariant tests
-// can inspect post-run allocator and pool state.
-func runRoutedCluster(gpu GPUConfig, reqs []workload.Request, n int, policy RouterPolicy, opts ContinuousOpts, plan *FaultPlan, rec RecoveryConfig, adm AdmissionConfig) (*RoutedReport, *cluster, error) {
-	if err := gpu.Validate(); err != nil {
+// runCluster is Run, also returning the drained cluster so invariant
+// tests can inspect post-run allocator and pool state.
+func runCluster(cfg ClusterConfig, reqs []workload.Request) (*RoutedReport, *cluster, error) {
+	if err := cfg.validate(); err != nil {
 		return nil, nil, err
 	}
-	if n < 1 {
-		return nil, nil, fmt.Errorf("%w: instances %d", ErrConfig, n)
-	}
-	if opts.ChunkTokens < 0 {
-		return nil, nil, fmt.Errorf("%w: chunk tokens %d", ErrConfig, opts.ChunkTokens)
+	if o := cfg.Opts; o.KV != nil || o.Prefix != nil || o.SessionCache != nil {
+		return nil, nil, fmt.Errorf("%w: Run builds every instance's KV allocator, prefix cache and session store; leave ContinuousOpts.KV, .Prefix and .SessionCache nil", ErrConfig)
 	}
 	ordered := arrivalOrder(reqs)
-
 	hasSessions := false
-	for _, r := range ordered {
-		if r.Session != "" {
+	for i := range ordered {
+		if ordered[i].Session != "" {
 			hasSessions = true
 			break
 		}
 	}
 
-	c := &cluster{
-		eng: sim.NewEngine(), policy: policy,
-		insts:    make([]*instance, n),
-		prefixes: make([]*PrefixCache, n),
-		breakers: make([]*resilient.Breaker, n),
-		pending:  len(ordered),
-		results:  make([]Result, 0, len(ordered)), // every request resolves once
-		trace:    opts.Trace,
-		rec:      newRecovery(rec),
-		scores:   make([]candScore, n),
-		dlog:     opts.Decisions,
-		force:    opts.Force,
-	}
-	// Attach the log so Tracer.Check verifies decisions against the
-	// timeline (nil-safe both ways).
-	c.trace.AttachDecisions(c.dlog)
-	if adm.Policy != AdmitAll {
-		c.adm = newAdmitter(adm, opts.Trace.Registry())
-	}
-	tally := &clusterTally{}
+	c := newCluster(cfg, len(ordered))
+	c.tally = &clusterTally{}
+	c.breakers = make([]*resilient.Breaker, cfg.Instances)
 	cooldown := 1000.0
-	if plan != nil {
-		cooldown = plan.crashDownMS()
+	if cfg.Faults != nil {
+		cooldown = cfg.Faults.crashDownMS()
 	}
-	for i := 0; i < n; i++ {
-		i := i
-		instOpts := opts
-		instOpts.KV = &talliedKV{KVManager: NewPagedKV(gpu), tally: tally}
+	gpu, rec := cfg.GPU, cfg.Recovery
+	for i := range c.insts {
+		opts := cfg.Opts
+		opts.KV = &talliedKV{KVManager: NewPagedKV(gpu), tally: c.tally}
 		if rec.PrefixGPUTokens > 0 {
 			// Two-tier prefix cache: cold prefixes demote to a host tier
 			// that survives this instance's crashes.
-			c.prefixes[i] = NewTieredPrefixCache(PrefixCacheConfig{
+			opts.Prefix = NewTieredPrefixCache(PrefixCacheConfig{
 				GPUCapacityTokens:  rec.PrefixGPUTokens,
 				CPUCapacityTokens:  rec.PrefixCPUTokens,
 				TransferMSPerToken: rec.prefixXferMSPerToken(),
 				PrefillTokensPerMS: gpu.PrefillTokensPerMS,
 			})
 		} else {
-			c.prefixes[i] = NewPrefixCache()
+			opts.Prefix = NewPrefixCache()
 		}
-		instOpts.Prefix = c.prefixes[i]
 		if hasSessions {
 			store, err := NewSessionStore(SessionStoreConfig{
 				GPUCapacityTokens:  gpu.KVBlocks * gpu.BlockSize / 4,
@@ -541,147 +544,91 @@ func runRoutedCluster(gpu GPUConfig, reqs []workload.Request, n int, policy Rout
 			if err != nil {
 				return nil, nil, err
 			}
-			instOpts.SessionCache = store
+			opts.SessionCache = store
 		}
 		c.breakers[i] = resilient.NewBreaker(resilient.BreakerPolicy{FailureThreshold: 2, CooldownMS: cooldown})
-		c.insts[i] = newInstance(i, gpu, instOpts, c.eng, &c.pool, func(now float64) *Result {
+		c.addInstance(i, opts)
+	}
+	return c.run(ordered), c, nil
+}
+
+// newCluster returns a cluster for a trace of n requests, with its
+// instance slots still empty: the caller fills each with addInstance,
+// and gives the cluster breakers and a KV tally if it has them.
+func newCluster(cfg ClusterConfig, n int) *cluster {
+	c := &cluster{
+		eng: sim.NewEngine(), gpu: cfg.GPU, policy: cfg.Router, plan: cfg.Faults,
+		insts:   make([]*instance, cfg.Instances),
+		pending: n,
+		results: make([]Result, 0, n), // every request resolves once
+		trace:   cfg.Opts.Trace,
+		rec:     newRecovery(cfg.Recovery),
+		scores:  make([]candScore, cfg.Instances),
+		dlog:    cfg.Opts.Decisions,
+		force:   cfg.Opts.Force,
+	}
+	// Attach the log so Tracer.Check verifies decisions against the
+	// timeline (nil-safe both ways).
+	c.trace.AttachDecisions(c.dlog)
+	if cfg.Admission.Policy != AdmitAll {
+		c.adm = newAdmitter(cfg.Admission, cfg.Opts.Trace.Registry())
+	}
+	return c
+}
+
+// addInstance builds instance i on opts. Its finishes resolve requests
+// (and close its breaker, when the cluster has breakers), and the
+// sequences a crash drops go back through the router.
+func (c *cluster) addInstance(i int, opts ContinuousOpts) {
+	in := newInstance(i, c.gpu, opts, c.eng, &c.pool, func(now float64) *Result {
+		if c.breakers != nil {
 			c.breakers[i].OnSuccess(now)
 			c.traceBreaker(now, i)
-			c.pending--
-			return nextResult(&c.results)
+		}
+		c.pending--
+		return nextResult(&c.results)
+	})
+	in.rec = c.rec
+	in.onDrop = func(now float64, dropped []*seqState) {
+		// The router learns of the losses a detection delay later and
+		// re-routes the sequences, in drop order, away from the crashed
+		// instance. One event carries the whole crash: the per-sequence
+		// events it replaces had consecutive seqs at one instant, so
+		// nothing fired between them, and whatever they scheduled fired
+		// after all of them.
+		c.eng.At(now+c.plan.detectMS(), func(t float64) {
+			for _, s := range dropped {
+				c.breakers[i].OnFailure(t)
+				c.traceBreaker(t, i)
+				c.rerouted++
+				g := c.route(t, &s.req, i, false)
+				if c.trace != nil {
+					c.trace.Instant(t, "router", "reroute", c.rerouteAttrs(i, g)...)
+					c.trace.Registry().Counter("router/reroute_crash").Add(t, 1)
+				}
+				c.insts[g].arrive(t, s)
+				c.traceDecision(s, g)
+			}
 		})
-		c.insts[i].rec = c.rec
-		c.insts[i].onDrop = func(now float64, dropped []*seqState) {
-			// The router learns of the losses a detection delay later and
-			// re-routes the sequences, in drop order, away from the
-			// crashed instance. One event carries the whole crash: the
-			// per-sequence events it replaces had consecutive seqs at one
-			// instant, so nothing fired between them, and whatever they
-			// scheduled fired after all of them.
-			c.eng.At(now+plan.detectMS(), func(t float64) {
-				for _, s := range dropped {
-					c.breakers[i].OnFailure(t)
-					c.traceBreaker(t, i)
-					c.rerouted++
-					g := c.route(t, &s.req, i, false)
-					if c.trace != nil {
-						c.trace.Instant(t, "router", "reroute", c.rerouteAttrs(i, g)...)
-						c.trace.Registry().Counter("router/reroute_crash").Add(t, 1)
-					}
-					c.insts[g].arrive(t, s)
-					c.traceDecision(s, g)
-				}
-			})
-		}
 	}
+	c.insts[i] = in
+}
 
-	// One shared ArgHandler delivers every arrival; the event argument is
-	// the request's index in the ordered trace, so scheduling n arrivals
-	// allocates one closure instead of n, and the engine streams them,
-	// keeping one queued at a time. The router reads each request in
-	// place; only the sequence the pool hands out copies it.
-	capacityTokens := gpu.KVBlocks * gpu.BlockSize
-	// deliverHeld lands a request the admission controller reserved a
-	// refill window for; deliver runs first, at the arrival instant.
-	deliverHeld := func(now float64, idx uint64) {
-		r := &ordered[idx]
-		c.adm.delivered(now, r.Tenant)
-		g := c.route(now, r, -1, true)
-		s := c.pool.get(*r)
-		c.insts[g].arrive(now, s)
-		c.traceDecision(s, g)
+// run serves the arrival-ordered trace on the built cluster: it streams
+// the arrivals through the router, drives the fault windows and
+// migration scans the configuration asks for, runs the engine dry,
+// reports every sequence no instance could ever admit as rejected, and
+// returns the report.
+func (c *cluster) run(ordered []workload.Request) *RoutedReport {
+	c.streamArrivals(ordered)
+	if c.plan != nil {
+		c.scheduleFaults()
 	}
-	deliver := func(now float64, idx uint64) {
-		r := &ordered[idx]
-		footprint := r.PromptTokens + r.OutputTokens
-		if footprint > capacityTokens || footprint > gpu.MaxSeqLen {
-			traceRejectArrival(c.trace, now, *r)
-			c.results = append(c.results, Result{Req: *r, Rejected: true})
-			c.pending--
-			return
-		}
-		if c.adm != nil {
-			delay, ok := c.adm.decide(now, *r)
-			if !ok {
-				traceRejectArrival(c.trace, now, *r)
-				c.results = append(c.results, Result{Req: *r, Rejected: true})
-				c.pending--
-				return
-			}
-			if delay > 0 {
-				c.eng.AtArg(now+delay, deliverHeld, idx)
-				return
-			}
-		}
-		g := c.route(now, r, -1, false)
-		s := c.pool.get(*r)
-		c.insts[g].arrive(now, s)
-		c.traceDecision(s, g)
-	}
-	c.eng.Stream(len(ordered), func(i int) float64 { return ordered[i].ArrivalMS }, deliver)
-
-	if plan != nil {
-		var windowAt func(w int)
-		windowAt = func(w int) {
-			c.eng.At(float64(w)*plan.windowMS(), func(now float64) {
-				if c.pending == 0 {
-					return // trace fully resolved: stop driving windows
-				}
-				for i, in := range c.insts {
-					if in.down {
-						continue
-					}
-					in.setSlowdown(plan.slowdownAt(i, w))
-					if plan.crashAt(i, w) {
-						c.crashes++
-						if c.trace != nil {
-							c.trace.Registry().Counter("router/crashes").Add(now, 1)
-						}
-						in.crash(now)
-						c.eng.At(now+plan.detectMS(), func(t float64) {
-							// Health check: the detector notices the dead
-							// instance even when nothing was in flight.
-							c.breakers[i].OnFailure(t)
-							c.traceBreaker(t, i)
-						})
-						c.eng.At(now+plan.crashDownMS(), func(t float64) {
-							in.setSlowdown(1)
-							in.recoverAt(t)
-						})
-					}
-				}
-				if plan.OverloadAlpha > 0 {
-					// Post-crash cascade: survivors absorbing the down
-					// instances' rerouted load run slower for the window,
-					// on top of any straggler draw.
-					downCount := 0
-					for _, in := range c.insts {
-						if in.down {
-							downCount++
-						}
-					}
-					if ov := plan.overloadFactor(downCount, len(c.insts)); ov > 1 {
-						for i, in := range c.insts {
-							if in.down {
-								continue
-							}
-							in.setSlowdown(plan.slowdownAt(i, w) * ov)
-						}
-					}
-				}
-				windowAt(w + 1)
-			})
-		}
-		windowAt(0)
-	}
-	if rec.Migrate {
+	if c.rec.cfg.Migrate {
 		c.scheduleMigration()
 	}
-
 	c.eng.Run()
-
-	var hits, misses, cpuHits, demotions, preemptions int
-	for i, in := range c.insts {
+	for _, in := range c.insts {
 		for in.waiting.Len() > 0 {
 			// Never admittable: report rejected, reclaim the state —
 			// Result copies the request, so pooling is safe, and the
@@ -692,19 +639,144 @@ func runRoutedCluster(gpu GPUConfig, reqs []workload.Request, n int, policy Rout
 			c.results = append(c.results, Result{Req: s.req, Rejected: true})
 			c.pool.put(s)
 		}
-		h, m := c.prefixes[i].Stats()
-		hits += h
-		misses += m
-		ch, d := c.prefixes[i].TierStats()
-		cpuHits += ch
-		demotions += d
-		preemptions += in.preemptions
 	}
+	return c.report()
+}
+
+// streamArrivals delivers the trace to the router. One shared
+// ArgHandler delivers every arrival; the event argument is the
+// request's index in the ordered trace, so scheduling n arrivals
+// allocates one closure instead of n, and the engine streams them,
+// keeping one queued at a time. The router reads each request in place;
+// only the sequence the pool hands out copies it.
+func (c *cluster) streamArrivals(ordered []workload.Request) {
+	capacityTokens := c.insts[0].kv.Capacity() * c.gpu.BlockSize
+	// deliverHeld lands a request the admission controller reserved a
+	// refill window for; deliver runs first, at the arrival instant.
+	deliverHeld := func(now float64, idx uint64) {
+		r := &ordered[idx]
+		c.adm.delivered(now, r.Tenant)
+		c.dispatch(now, r, true)
+	}
+	deliver := func(now float64, idx uint64) {
+		r := &ordered[idx]
+		// A footprint no instance can ever hold is rejected at arrival.
+		footprint := r.PromptTokens + r.OutputTokens
+		if footprint > capacityTokens || footprint > c.gpu.MaxSeqLen {
+			c.rejectArrival(now, r)
+			return
+		}
+		if c.adm != nil {
+			delay, ok := c.adm.decide(now, *r)
+			if !ok {
+				c.rejectArrival(now, r)
+				return
+			}
+			if delay > 0 {
+				c.eng.AtArg(now+delay, deliverHeld, idx)
+				return
+			}
+		}
+		c.dispatch(now, r, false)
+	}
+	c.eng.Stream(len(ordered), func(i int) float64 { return ordered[i].ArrivalMS }, deliver)
+}
+
+// dispatch routes an arriving request and queues its sequence on the
+// chosen instance; held marks a request admission delayed first.
+func (c *cluster) dispatch(now float64, r *workload.Request, held bool) {
+	g := c.route(now, r, -1, held)
+	s := c.pool.get(*r)
+	c.insts[g].arrive(now, s)
+	c.traceDecision(s, g)
+}
+
+// rejectArrival resolves a request turned away before any instance saw
+// it.
+func (c *cluster) rejectArrival(now float64, r *workload.Request) {
+	traceRejectArrival(c.trace, now, *r)
+	c.results = append(c.results, Result{Req: *r, Rejected: true})
+	c.pending--
+}
+
+// scheduleFaults chains the fault plan's windows on the engine: at each
+// window boundary every live instance takes the window's straggler
+// factor and crash draw, and the survivors of a crash pay the plan's
+// overload cascade. The chain stops once the trace is fully resolved.
+func (c *cluster) scheduleFaults() {
+	plan := c.plan
+	var windowAt func(w int)
+	windowAt = func(w int) {
+		c.eng.At(float64(w)*plan.windowMS(), func(now float64) {
+			if c.pending == 0 {
+				return // trace fully resolved: stop driving windows
+			}
+			for i, in := range c.insts {
+				if in.down {
+					continue
+				}
+				in.setSlowdown(plan.slowdownAt(i, w))
+				if plan.crashAt(i, w) {
+					c.crashes++
+					if c.trace != nil {
+						c.trace.Registry().Counter("router/crashes").Add(now, 1)
+					}
+					in.crash(now)
+					c.eng.At(now+plan.detectMS(), func(t float64) {
+						// Health check: the detector notices the dead
+						// instance even when nothing was in flight.
+						c.breakers[i].OnFailure(t)
+						c.traceBreaker(t, i)
+					})
+					c.eng.At(now+plan.crashDownMS(), func(t float64) {
+						in.setSlowdown(1)
+						in.recoverAt(t)
+					})
+				}
+			}
+			if plan.OverloadAlpha > 0 {
+				// Post-crash cascade: survivors absorbing the down
+				// instances' rerouted load run slower for the window, on
+				// top of any straggler draw.
+				downCount := 0
+				for _, in := range c.insts {
+					if in.down {
+						downCount++
+					}
+				}
+				if ov := plan.overloadFactor(downCount, len(c.insts)); ov > 1 {
+					for i, in := range c.insts {
+						if in.down {
+							continue
+						}
+						in.setSlowdown(plan.slowdownAt(i, w) * ov)
+					}
+				}
+			}
+			windowAt(w + 1)
+		})
+	}
+	windowAt(0)
+}
+
+// report sums the drained cluster's results and counters.
+func (c *cluster) report() *RoutedReport {
 	out := &RoutedReport{Report: *buildReport(c.results)}
-	out.PeakKVBlocks = tally.peak
-	out.Preemptions = preemptions
-	out.PrefixHits = hits
-	out.PrefixMisses = misses
+	for _, in := range c.insts {
+		h, m := in.opts.Prefix.Stats()
+		out.PrefixHits += h
+		out.PrefixMisses += m
+		ch, d := in.opts.Prefix.TierStats()
+		out.PrefixCPUHits += ch
+		out.PrefixDemotions += d
+		out.Preemptions += in.preemptions
+	}
+	if c.tally != nil {
+		out.PeakKVBlocks = c.tally.peak
+	} else {
+		// One instance on the caller's allocator (RunContinuous).
+		out.PeakKVBlocks = c.insts[0].kv.PeakBlocks()
+	}
 	out.Rerouted = c.rerouted
 	out.Crashes = c.crashes
 	out.Migrations = c.migrations
@@ -713,8 +785,6 @@ func runRoutedCluster(gpu GPUConfig, reqs []workload.Request, n int, policy Rout
 	out.CkptWrites = c.rec.writes
 	out.CkptTokens = c.rec.writeTokens
 	out.RecoveryMS = c.rec.recoveryMS
-	out.PrefixCPUHits = cpuHits
-	out.PrefixDemotions = demotions
 	out.Tenants = tenantStats(c.adm, c.results)
 	if c.adm != nil {
 		for _, t := range out.Tenants {
@@ -726,5 +796,5 @@ func runRoutedCluster(gpu GPUConfig, reqs []workload.Request, n int, policy Rout
 			out.AdmissionDelayed += tl.delayed
 		}
 	}
-	return out, c, nil
+	return out
 }

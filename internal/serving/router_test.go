@@ -20,8 +20,8 @@ func prefixTrace(t *testing.T, seed int64) []workload.Request {
 	return reqs
 }
 
-func TestRunRoutedValidation(t *testing.T) {
-	if _, err := RunRouted(DefaultGPU(), nil, 0, RoundRobin, ContinuousOpts{}); !errors.Is(err, ErrConfig) {
+func TestRunValidation(t *testing.T) {
+	if _, err := Run(ClusterConfig{GPU: DefaultGPU(), Instances: 0, Router: RoundRobin}, nil); !errors.Is(err, ErrConfig) {
 		t.Errorf("err = %v", err)
 	}
 }
@@ -32,11 +32,11 @@ func TestCacheAwareRoutingBeatsRoundRobinOnPrefixes(t *testing.T) {
 	// once per instance.
 	gpu := DefaultGPU()
 	reqs := prefixTrace(t, 41)
-	rr, err := RunRouted(gpu, reqs, 4, RoundRobin, ContinuousOpts{})
+	rr, err := Run(ClusterConfig{GPU: gpu, Instances: 4, Router: RoundRobin}, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ca, err := RunRouted(gpu, reqs, 4, CacheAware, ContinuousOpts{})
+	ca, err := Run(ClusterConfig{GPU: gpu, Instances: 4, Router: CacheAware}, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,11 +61,11 @@ func TestRoutedSessionsStayTogether(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr, err := RunRouted(gpu, reqs, 4, RoundRobin, ContinuousOpts{})
+	rr, err := Run(ClusterConfig{GPU: gpu, Instances: 4, Router: RoundRobin}, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ca, err := RunRouted(gpu, reqs, 4, CacheAware, ContinuousOpts{})
+	ca, err := Run(ClusterConfig{GPU: gpu, Instances: 4, Router: CacheAware}, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,11 +79,11 @@ func TestRoutedSessionsStayTogether(t *testing.T) {
 func TestRoutedDeterministic(t *testing.T) {
 	gpu := DefaultGPU()
 	reqs := prefixTrace(t, 47)
-	a, err := RunRouted(gpu, reqs, 3, CacheAware, ContinuousOpts{})
+	a, err := Run(ClusterConfig{GPU: gpu, Instances: 3, Router: CacheAware}, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunRouted(gpu, reqs, 3, CacheAware, ContinuousOpts{})
+	b, err := Run(ClusterConfig{GPU: gpu, Instances: 3, Router: CacheAware}, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}

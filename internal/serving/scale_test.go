@@ -31,8 +31,8 @@ func TestClusterScaleMillionRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := RunRoutedFaults(DefaultGPU(), reqs, instances, BreakerAware,
-		ContinuousOpts{ChunkTokens: 256}, SevereFaultPlan(2303))
+	rep, err := Run(ClusterConfig{GPU: DefaultGPU(), Instances: instances, Router: BreakerAware,
+		Opts: ContinuousOpts{ChunkTokens: 256}, Faults: SevereFaultPlan(2303)}, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,8 +85,8 @@ func TestMigrationUnderFaultsScale(t *testing.T) {
 		PrefixGPUTokens: 2048, PrefixCPUTokens: 16384,
 	}
 	run := func() *RoutedReport {
-		rep, err := RunRoutedRecovery(DefaultGPU(), reqs, instances, BreakerAware,
-			ContinuousOpts{ChunkTokens: 256}, CascadeFaultPlan(2403, 10), rec)
+		rep, err := Run(ClusterConfig{GPU: DefaultGPU(), Instances: instances, Router: BreakerAware,
+			Opts: ContinuousOpts{ChunkTokens: 256}, Faults: CascadeFaultPlan(2403, 10), Recovery: rec}, reqs)
 		if err != nil {
 			t.Error(err)
 			return nil

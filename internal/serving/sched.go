@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"dataai/internal/obs"
-	"dataai/internal/sim"
 	"dataai/internal/workload"
 )
 
@@ -170,7 +169,11 @@ func RunStatic(gpu GPUConfig, reqs []workload.Request, batchSize int) (*Report, 
 	return rep, nil
 }
 
-// ContinuousOpts configures RunContinuous.
+// ContinuousOpts configures continuous batching: RunContinuous's one
+// GPU, or every instance of a Run. KV, Prefix and SessionCache are the
+// caller's objects for RunContinuous only, since Run builds each
+// instance its own; Decisions and Force are for Run only. An entry
+// point given a field it does not take returns ErrConfig.
 type ContinuousOpts struct {
 	// KV selects the allocator; nil defaults to paged.
 	KV KVManager
@@ -215,14 +218,12 @@ type ContinuousOpts struct {
 	// decision time — the record ReplayRegret replays against. When a
 	// Trace is also set, the log is attached to it, so obs.Check
 	// verifies decisions against the timeline. Nil (the default)
-	// records nothing and adds nothing to the route path. Ignored
-	// outside the RunRouted* entry points.
+	// records nothing and adds nothing to the route path.
 	Decisions *obs.DecisionLog
 	// Force, when non-nil, overrides one routing decision during a
 	// counterfactual replay: the Force.Decision-th route call returns
 	// its Force.Rank-th scored alternative instead of the argmin, with
-	// every other decision re-decided live by the policy. Ignored
-	// outside the RunRouted* entry points.
+	// every other decision re-decided live by the policy.
 	Force *ForcedChoice
 }
 
@@ -232,38 +233,27 @@ type ContinuousOpts struct {
 const admissionWatermark = 0.95
 
 // RunContinuous serves the trace with iteration-level (continuous)
-// batching on one GPU. Since the event-engine refactor it is a one-
-// instance cluster: the instance runs as a discrete-event process on a
-// private sim.Engine, with identical scheduling (and identical numbers)
-// to the historical standalone loop.
+// batching on one GPU: a one-instance cluster on the caller's KV
+// allocator (paged when nil), prefix cache and session store, with no
+// circuit breaker, served through Run's arrival, drain and report path.
+// A single GPU makes no routing decisions, so Decisions and Force must
+// be nil.
 func RunContinuous(gpu GPUConfig, reqs []workload.Request, opts ContinuousOpts) (*Report, error) {
-	if err := gpu.Validate(); err != nil {
-		return nil, err
+	rep, _, err := runContinuous(gpu, reqs, opts)
+	return rep, err
+}
+
+// runContinuous is RunContinuous, also returning the drained cluster.
+func runContinuous(gpu GPUConfig, reqs []workload.Request, opts ContinuousOpts) (*Report, *cluster, error) {
+	cfg := ClusterConfig{GPU: gpu, Instances: 1, Opts: opts}
+	if err := cfg.validate(); err != nil {
+		return nil, nil, err
 	}
-	if opts.ChunkTokens < 0 {
-		return nil, fmt.Errorf("%w: chunk tokens %d", ErrConfig, opts.ChunkTokens)
+	if opts.Decisions != nil || opts.Force != nil {
+		return nil, nil, fmt.Errorf("%w: one GPU makes no routing decisions; ContinuousOpts.Decisions and .Force need Run", ErrConfig)
 	}
 	ordered := arrivalOrder(reqs)
-
-	eng := sim.NewEngine()
-	pool := &seqPool{}
-	results := make([]Result, 0, len(ordered)) // every request resolves once
-	inst := newInstance(0, gpu, opts, eng, pool, func(float64) *Result { return nextResult(&results) })
-	scheduleArrivals(eng, gpu, ordered, inst, pool, func(r Result) { results = append(results, r) })
-	eng.Run()
-
-	// Anything still waiting could never be admitted (footprint larger
-	// than the whole cache): report as rejected and reclaim the state —
-	// Result copies the request, so pooling is safe.
-	for inst.waiting.Len() > 0 {
-		s := inst.waiting.PopFront()
-		inst.load -= seqLoad(s)
-		inst.traceReject(eng.Now(), s)
-		results = append(results, Result{Req: s.req, Rejected: true})
-		pool.put(s)
-	}
-	rep := buildReport(results)
-	rep.PeakKVBlocks = inst.kv.PeakBlocks()
-	rep.Preemptions = inst.preemptions
-	return rep, nil
+	c := newCluster(cfg, len(ordered))
+	c.addInstance(0, opts)
+	return &c.run(ordered).Report, c, nil
 }

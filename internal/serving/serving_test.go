@@ -324,7 +324,7 @@ func TestDisaggregatedImprovesTBTUnderLoad(t *testing.T) {
 	// colocated decodes stall behind prefills and goodput separates.
 	gpu := DefaultGPU()
 	reqs := trace(t, 7, 400, 100)
-	colo, err := RunColocated(gpu, reqs, 4, ContinuousOpts{})
+	colo, err := Run(ClusterConfig{GPU: gpu, Instances: 4, Router: RoundRobin}, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,9 +347,6 @@ func TestDisaggregatedImprovesTBTUnderLoad(t *testing.T) {
 
 func TestDisaggValidation(t *testing.T) {
 	if _, err := RunDisaggregated(DefaultGPU(), nil, DisaggOpts{}); !errors.Is(err, ErrConfig) {
-		t.Errorf("err = %v", err)
-	}
-	if _, err := RunColocated(DefaultGPU(), nil, 0, ContinuousOpts{}); !errors.Is(err, ErrConfig) {
 		t.Errorf("err = %v", err)
 	}
 }

@@ -31,7 +31,8 @@ func saturatedTenants(tb testing.TB, n int) *obs.Tracer {
 		Policy: AdmitQueue, BurstTokens: 30000, RefillPerSec: 36000,
 		MaxQueueMS: 2000, Weights: weights,
 	}
-	if _, err := RunRoutedAdmission(DefaultGPU(), reqs, 4, CacheAware, opts, nil, RecoveryConfig{}, adm); err != nil {
+	if _, err := Run(ClusterConfig{GPU: DefaultGPU(), Instances: 4, Router: CacheAware,
+		Opts: opts, Admission: adm}, reqs); err != nil {
 		tb.Fatal(err)
 	}
 	return tr

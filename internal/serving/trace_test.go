@@ -15,8 +15,8 @@ import (
 // routing, severe fault plan — with the given tracer attached.
 func severeRouted(t *testing.T, tr *obs.Tracer) *RoutedReport {
 	t.Helper()
-	rep, err := RunRoutedFaults(DefaultGPU(), prefixTrace(t, 47), 4, BreakerAware,
-		ContinuousOpts{ChunkTokens: 256, Trace: tr}, SevereFaultPlan(2303))
+	rep, err := Run(ClusterConfig{GPU: DefaultGPU(), Instances: 4, Router: BreakerAware,
+		Opts: ContinuousOpts{ChunkTokens: 256, Trace: tr}, Faults: SevereFaultPlan(2303)}, prefixTrace(t, 47))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,8 +254,8 @@ func benchSevereRouted(b *testing.B, newTracer func() *obs.Tracer) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunRoutedFaults(DefaultGPU(), reqs, 4, BreakerAware,
-			ContinuousOpts{ChunkTokens: 256, Trace: newTracer()}, SevereFaultPlan(2303)); err != nil {
+		if _, err := Run(ClusterConfig{GPU: DefaultGPU(), Instances: 4, Router: BreakerAware,
+			Opts: ContinuousOpts{ChunkTokens: 256, Trace: newTracer()}, Faults: SevereFaultPlan(2303)}, reqs); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -275,8 +275,8 @@ func severeTrace(tb testing.TB, dl *obs.DecisionLog) *obs.Tracer {
 		tb.Fatal(err)
 	}
 	tr := obs.NewTracer()
-	if _, err := RunRoutedFaults(DefaultGPU(), reqs, 4, BreakerAware,
-		ContinuousOpts{ChunkTokens: 256, Trace: tr, Decisions: dl}, SevereFaultPlan(2303)); err != nil {
+	if _, err := Run(ClusterConfig{GPU: DefaultGPU(), Instances: 4, Router: BreakerAware,
+		Opts: ContinuousOpts{ChunkTokens: 256, Trace: tr, Decisions: dl}, Faults: SevereFaultPlan(2303)}, reqs); err != nil {
 		tb.Fatal(err)
 	}
 	return tr

@@ -63,6 +63,12 @@ go test -race -count=10 -run 'WriteChrome|ConcurrentRecord' ./internal/obs
 # seventh config under -short), the closed-form decode schedule, and
 # invalid configurations failing with ErrConfig under a deadline.
 go test -race -short -count=1 -run 'TestDecodeGridDigests|TestDecodeClosedForm|TestBadConfigsFailFast' ./internal/serving
+# serving.Run over generated cluster configurations (instances, router,
+# fault plan, recovery, admission, scheduling, KV mode, chunking, GPU,
+# trace), starting from the seed corpus in testdata/fuzz: every request
+# resolves once, every instance drains, the traced run passes obs.Check
+# and an untraced rerun serves the same results.
+go test -run '^$' -fuzz '^FuzzRun$' -fuzztime 10s ./internal/serving
 # prep-rag's preparation stages fan out: rag.Ingest cuts and embeds each
 # window of documents on several goroutines and commits it in order,
 # ApplyFilters runs the filters per document in parallel, and Dedup's
