@@ -3,6 +3,7 @@ package serving
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dataai/internal/obs"
@@ -103,6 +104,69 @@ func checkDrained(t *testing.T, name string, rep *Report, c *cluster, n int) {
 			t.Errorf("%s: pooled sequence kept state (checkpoint %d): %+v", name, s.ckpt, *s)
 			break
 		}
+	}
+}
+
+// TestDrainRejectsNeverAdmitted ends a run with sequences that were
+// never admitted: the caller's KV allocator holds all but two blocks
+// under a handle the instance does not know, so every request needing
+// more than 32 tokens waits until the engine runs dry. The drain must
+// report each of them rejected, end its request span with "reject" in
+// a trace that passes obs.Check, and return it to the sequence pool.
+func TestDrainRejectsNeverAdmitted(t *testing.T) {
+	gpu := gridGPU()
+	const foreign = 1000 // far above the handles one instance hands out
+	for _, onDemand := range []bool{false, true} {
+		kv := NewPagedKV(gpu)
+		if !kv.Alloc(foreign, (gpu.KVBlocks-2)*gpu.BlockSize) {
+			t.Fatal("could not hold the foreign blocks")
+		}
+		reqs := []workload.Request{
+			{ID: "small-0", ArrivalMS: 0, PromptTokens: 8, OutputTokens: 4},
+			{ID: "big-1", ArrivalMS: 1, PromptTokens: 300, OutputTokens: 40},
+			{ID: "big-2", ArrivalMS: 2, PromptTokens: 120, OutputTokens: 90},
+			{ID: "small-3", ArrivalMS: 3, PromptTokens: 6, OutputTokens: 6},
+			{ID: "big-4", ArrivalMS: 4, PromptTokens: 1000, OutputTokens: 8},
+		}
+		tr := obs.NewTracer()
+		name := fmt.Sprintf("ondemand=%t", onDemand)
+		rep, c, err := runContinuous(gpu, reqs, ContinuousOpts{KV: kv, OnDemand: onDemand, Trace: tr})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		rejected := map[string]bool{}
+		for _, r := range rep.Results {
+			if r.Rejected {
+				rejected[r.Req.ID] = true
+			}
+		}
+		for _, id := range []string{"big-1", "big-2", "big-4"} {
+			if !rejected[id] {
+				t.Errorf("%s: %s was never admittable but is not reported rejected", name, id)
+			}
+		}
+		// OnDemand admission keeps a watermark of free blocks, which two
+		// free blocks do not clear, so only reserve-full serves small-0.
+		if !onDemand && rejected["small-0"] {
+			t.Errorf("%s: small-0 fits the free blocks but was rejected", name)
+		}
+		if rep.Rejected != len(rejected) {
+			t.Errorf("%s: report counts %d rejected, results %d", name, rep.Rejected, len(rejected))
+		}
+		if err := tr.Check(); err != nil {
+			t.Fatalf("%s: trace failed invariants: %v", name, err)
+		}
+		traced := map[string]bool{}
+		for _, s := range tr.Spans() {
+			if s.Cat == obs.CatRequest && s.Parent == 0 && s.Reason == "reject" {
+				traced[strings.TrimPrefix(s.Track, "req/")] = true
+			}
+		}
+		if !reflect.DeepEqual(traced, rejected) {
+			t.Errorf("%s: request spans ended \"reject\" for %v, want %v", name, traced, rejected)
+		}
+		kv.Free(foreign)
+		checkDrained(t, name, rep, c, len(reqs))
 	}
 }
 

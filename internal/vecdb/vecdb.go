@@ -308,14 +308,16 @@ func (f *Flat) SearchFilter(query []float32, k int, keep func(id string) bool) (
 // say this: a sealed block of the prep-rag benchmark's shape scans
 // about six times cheaper than a dense one. BenchmarkParFlatSearchAtMin
 // times one and two workers on indexes sized so their query's work is
-// just at the threshold. On a 2-vCPU Xeon, at 65536 a dense 1024 × 64
-// index broke even (w1 0.064, w2 0.056 ms, w2 faster in 6 of 10 runs)
-// and the prep-rag shape (10,179 rows) gained (0.112 against 0.095 ms,
-// 10 of 10); at 49152 the dense index lost (0.049 against 0.054 ms).
-// Every search of the prep-rag benchmark's index (13k rows, work from
-// 70k up at every seed checked) still shards (BENCH_par.json,
-// prep_fanout.flat_parallel_work).
-const flatParallelWork = 65536
+// just at the threshold. On a 2-vCPU Xeon, with internal/par's helper
+// awake, at 49152 two workers won on both shapes in 10 of 10 runs: a
+// dense 768 × 64 index (w1 0.048, w2 0.035 ms, w2 faster in 80–88% of
+// searches) and the prep-rag shape (7,003 rows; 0.082 against
+// 0.061 ms, 60–95%). At 32768 the prep-rag shape (2,989 rows) only
+// broke even (0.041 against 0.040 ms, w2 faster in 8 of 10 runs and
+// 41–76% of searches). Every search of the prep-rag benchmark's index
+// (13k rows, work from 70k up at every seed checked) shards
+// (BENCH_par.json, prep_fanout.flat_parallel_work).
+const flatParallelWork = 49152
 
 // searchOne runs one scan at the given worker count, sharded when the
 // query's work reaches flatParallelWork.

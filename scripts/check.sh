@@ -48,6 +48,11 @@ echo "== resilience stress under race (repeated runs)"
 # chances to surface.
 go test -race -count=3 ./internal/faults ./internal/resilient
 go test -race -count=3 -run 'SingleFlight|Parallel' ./internal/llm ./internal/semop
+# internal/par's helper pool: nested fan-outs, concurrent callers, a
+# fan-out its caller finishes while every helper is held, panics in the
+# caller's and a helper's share, and helpers parking after their spin,
+# under the race detector with many interleavings.
+go test -race -count=20 ./internal/par
 # vecdb.Flat: Save racing Delete, concurrent Add/Search/Delete, searches
 # racing the seals of Add and Delete, and the sharded scan against the
 # serial one and the dense reference scan.
