@@ -46,7 +46,7 @@ func digest(b []byte) string {
 
 // TestOutputDigests pins the SHA-256 of servesim's stdout for one run
 // of every policy, the routed recovery, admission and counterfactual
-// replay paths, and the sweep; and the bytes of two exported traces.
+// replay paths, and the sweep; and the bytes of four exported traces.
 // Any change to a printed value or a recorded timeline fails here. The
 // digests hold on amd64 only: other architectures may fuse
 // floating-point multiply-adds, so simulated times can differ there in
@@ -100,6 +100,12 @@ func TestOutputDigests(t *testing.T) {
 		{"disagg", []string{"-policy", "disagg"},
 			"4432ad9700e6d152b425c37e9a295b53155916876a7b4a3d5ccc172e9324a55f",
 			835513, "2c126d676d37d4850fc4b508af43e1e2843049aa1e6d7114e43e13babc0e9b11"},
+		{"multi-tenant queue", []string{"-policy", "routed", "-spec", "multi-tenant", "-n", "400", "-rate", "130", "-admission", "queue", "-sched", "priority"},
+			"742d28c3cd432393541377147ce2b09cd2d0a9ef3412364eb02d1c66ce243a68",
+			872959, "021b45780b0a6f1d3e80d85f0451a358a211c1aeb77b02675612c3d6d6dd7aa7"},
+		{"recovery", []string{"-policy", "routed", "-faults", "severe", "-domains", "4", "-n", "300", "-rate", "70", "-slo-ttft", "1500", "-slo-tbt", "25", "-ckpt-every", "8", "-migrate"},
+			"b4b79740312ae76723f0040d1156d54937d3278801c7a89ddaac7dd20e49a394",
+			702884, "959c0f12f8130614a238dc45a0627b2b0226c7f08610e4ec3101ce7db4bef36f"},
 	}
 	for i, c := range traced {
 		path := filepath.Join(dir, "trace"+strconv.Itoa(i)+".json")

@@ -187,6 +187,18 @@ echo "== perfbench smoke (every benchmark workload, traced and untraced, outputs
 # output check the benchmark makes.
 (cd perfbench && go test ./...)
 
+echo "== perfbench exact columns (digests, counts and simulated-clock metrics)"
+# Every workload at seed 1, untraced and traced: the outputs' digest and
+# each column that does not depend on the host or the run length must
+# equal the committed file. Wall-clock, allocation and speedup columns
+# are not gated. Pinned on amd64 only: other architectures may fuse
+# floating-point multiply-adds.
+if [ "$(go env GOARCH)" = amd64 ]; then
+    bash scripts/exact_columns.sh > /tmp/dataai_exact_columns.txt
+    diff scripts/testdata/exact_columns.txt /tmp/dataai_exact_columns.txt
+    rm -f /tmp/dataai_exact_columns.txt
+fi
+
 echo "== benchall serial vs parallel (fast subset, byte-identical)"
 # The full-set golden diff runs inside the test suite
 # (cmd/benchall/main_test.go); this end-to-end gate re-checks the built
