@@ -235,8 +235,7 @@ func main() {
 			return rep, nil, err
 		case "disagg":
 			rep, err := serving.RunDisaggregated(gpu, reqs, serving.DisaggOpts{
-				PrefillGPUs: *prefill, DecodeGPUs: *decode,
-				TransferMSPerToken: 0.005, OverlapTransfer: true, Trace: tr,
+				PrefillGPUs: *prefill, DecodeGPUs: *decode, Trace: tr,
 			})
 			return rep, nil, err
 		case "routed":

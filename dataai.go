@@ -347,8 +347,7 @@ type (
 	// RecoveryConfig turns on the crash-survivable stack for a cluster:
 	// periodic decode-state checkpoints, live session migration, and
 	// tiered (GPU+CPU) prefix caches.
-	RecoveryConfig    = serving.RecoveryConfig
-	PrefixCacheConfig = serving.PrefixCacheConfig
+	RecoveryConfig = serving.RecoveryConfig
 )
 
 // Multi-tenant serving: workload specs with per-client tenants, SLO
@@ -401,18 +400,17 @@ var (
 	RunDisaggregated  = serving.RunDisaggregated
 	// RunCluster serves a trace on a routed multi-instance cluster; a
 	// colocated GPU pool is the RoundRobin router.
-	RunCluster           = serving.Run
-	MediumFaultPlan      = serving.MediumFaultPlan
-	SevereFaultPlan      = serving.SevereFaultPlan
-	CorrelatedFaultPlan  = serving.CorrelatedFaultPlan
-	CascadeFaultPlan     = serving.CascadeFaultPlan
-	NewTieredPrefixCache = serving.NewTieredPrefixCache
-	GenerateTrace        = workload.Generate
-	DefaultTrace         = workload.DefaultTrace
-	GenerateSpec         = workload.GenerateSpec
-	DefaultMultiTenant   = workload.DefaultMultiTenant
-	JainIndex            = metrics.Jain
-	JainWeighted         = metrics.JainWeighted
+	RunCluster          = serving.Run
+	MediumFaultPlan     = serving.MediumFaultPlan
+	SevereFaultPlan     = serving.SevereFaultPlan
+	CorrelatedFaultPlan = serving.CorrelatedFaultPlan
+	CascadeFaultPlan    = serving.CascadeFaultPlan
+	GenerateTrace       = workload.Generate
+	DefaultTrace        = workload.DefaultTrace
+	GenerateSpec        = workload.GenerateSpec
+	DefaultMultiTenant  = workload.DefaultMultiTenant
+	JainIndex           = metrics.Jain
+	JainWeighted        = metrics.JainWeighted
 )
 
 // Observability: logical-clock spans, a counter/gauge registry, and

@@ -56,7 +56,6 @@ func main() {
 	for _, split := range [][2]int{{1, 3}, {2, 2}} {
 		rep, err := serving.RunDisaggregated(gpu, reqs, serving.DisaggOpts{
 			PrefillGPUs: split[0], DecodeGPUs: split[1],
-			TransferMSPerToken: 0.005, OverlapTransfer: true,
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -172,7 +172,7 @@ func TestAllServingPoliciesShareInvariants(t *testing.T) {
 		runs = append(runs, run{fmt.Sprintf("continuous%+v", opts.ChunkTokens), rep})
 	}
 	disagg, err := serving.RunDisaggregated(gpu, reqs, serving.DisaggOpts{
-		PrefillGPUs: 1, DecodeGPUs: 1, TransferMSPerToken: 0.01,
+		PrefillGPUs: 1, DecodeGPUs: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -81,9 +81,6 @@ type Trace struct {
 	Answer string
 	// Failed reports whether execution aborted before the final step.
 	Failed bool
-	// BackoffMS is the total simulated retry backoff charged across
-	// steps (zero unless WithRetryBackoff configured a backoff).
-	BackoffMS float64
 }
 
 // Option configures an Agent.
@@ -93,34 +90,16 @@ type Option func(*Agent)
 // (default 1).
 func WithMaxRetries(n int) Option { return func(a *Agent) { a.retrier.MaxRetries = n } }
 
-// WithRetryBackoff charges capped exponential backoff with seeded
-// jitter between step retries (simulated time, surfaced on
-// Trace.BackoffMS — never slept). Without it retries remain immediate
-// and free, the legacy behaviour.
-func WithRetryBackoff(baseMS, maxMS float64, seed uint64) Option {
-	return func(a *Agent) {
-		a.retrier.BaseBackoffMS = baseMS
-		a.retrier.MaxBackoffMS = maxMS
-		a.retrier.JitterFrac = 0.5
-		a.retrier.Seed = seed
-	}
-}
-
-// WithoutReflection disables the self-reflection check; steps are
-// accepted as-is (the ablation arm of E5).
-func WithoutReflection() Option { return func(a *Agent) { a.reflect = false } }
-
 // Agent executes plans over a tool registry.
 type Agent struct {
 	tools   map[string]Tool
 	order   []string
 	retrier resilient.Retrier
-	reflect bool
 }
 
 // New returns an agent with the given tools registered.
 func New(tools []Tool, opts ...Option) (*Agent, error) {
-	a := &Agent{tools: make(map[string]Tool, len(tools)), retrier: resilient.Retrier{MaxRetries: 1}, reflect: true}
+	a := &Agent{tools: make(map[string]Tool, len(tools)), retrier: resilient.Retrier{MaxRetries: 1}}
 	for _, t := range tools {
 		if t.Name() == "" {
 			return nil, fmt.Errorf("agent: tool with empty name")
@@ -170,19 +149,18 @@ func (a *Agent) Run(task string, plan []Action) (Trace, error) {
 
 		step := Step{Action: act, Input: input}
 		var out string
-		retries, backMS, err := a.retrier.Do(input, func(int) error {
+		retries, err := a.retrier.Do(func(int) error {
 			var ierr error
 			out, ierr = tool.Invoke(input)
 			if ierr != nil {
 				return ierr
 			}
-			if a.reflect && !a.acceptable(out) {
+			if !a.acceptable(out) {
 				return errReflectionReject
 			}
 			return nil
 		})
 		step.Retries = retries
-		tr.BackoffMS += backMS
 		if err != nil {
 			if errors.Is(err, errReflectionReject) {
 				err = fmt.Errorf("%w: step %d output rejected by reflection", ErrStepFailed, i)

@@ -102,20 +102,6 @@ func TestReflectionAbortsAfterRetries(t *testing.T) {
 	}
 }
 
-func TestWithoutReflectionAcceptsAnything(t *testing.T) {
-	dead := ToolFunc{ToolName: "dead", Desc: "always unknown", Fn: func(in string) (string, error) {
-		return "unknown", nil
-	}}
-	a, _ := New([]Tool{dead}, WithoutReflection())
-	tr, err := a.Run("x", []Action{{Tool: "dead", Input: "go"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Answer != "unknown" {
-		t.Errorf("answer = %q", tr.Answer)
-	}
-}
-
 func TestToolErrorsRetryThenAbort(t *testing.T) {
 	calls := 0
 	erroring := ToolFunc{ToolName: "err", Desc: "errors", Fn: func(in string) (string, error) {

@@ -60,10 +60,10 @@ func TestHubCacheStats(t *testing.T) {
 	}
 	c, _ := h.Client("m")
 	p := llm.GeneratePrompt("hello")
-	if _, err := c.Complete(llm.Request{Prompt: p, MaxTokens: 4}); err != nil {
+	if _, err := c.Complete(llm.Request{Prompt: p}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Complete(llm.Request{Prompt: p, MaxTokens: 4}); err != nil {
+	if _, err := c.Complete(llm.Request{Prompt: p}); err != nil {
 		t.Fatal(err)
 	}
 	hits, misses := h.CacheStats()

@@ -9,17 +9,13 @@ import (
 // ClassifierFilter is the learned quality filter the paper cites for data
 // cleaning ([10]'s GPT-3 quality classifier, QuRating [62]): a classifier
 // trained on examples of wanted and unwanted text scores each candidate
-// document. Here it is a nearest-centroid classifier over embeddings with
-// a tunable margin — documents closer to the "bad" centroid than
-// Margin-adjusted "good" similarity are dropped.
+// document. Here it is a nearest-centroid classifier over embeddings:
+// documents closer to the "bad" centroid than to the "good" one are
+// dropped.
 type ClassifierFilter struct {
 	emb  embed.Embedder
 	good []float32
 	bad  []float32
-	// Margin biases the decision: positive values keep borderline
-	// documents (higher recall of good data), negative values drop them
-	// (higher precision). Zero is the unbiased boundary.
-	Margin float32
 }
 
 // FitClassifierFilter trains the filter from labeled seed sets.
@@ -50,7 +46,7 @@ func (c *ClassifierFilter) Keep(text string) (bool, string) {
 	v := c.emb.Embed(text)
 	goodSim := embed.Cosine(v, c.good)
 	badSim := embed.Cosine(v, c.bad)
-	if goodSim+c.Margin >= badSim {
+	if goodSim >= badSim {
 		return true, ""
 	}
 	return false, fmt.Sprintf("classifier: good %.3f < bad %.3f", goodSim, badSim)

@@ -58,30 +58,6 @@ func TestClassifierFilterSeparates(t *testing.T) {
 	}
 }
 
-func TestClassifierFilterMargin(t *testing.T) {
-	good, bad, _, testBad := classifierFixture(t)
-	f, err := FitClassifierFilter(embed.NewHashEmbedder(embed.DefaultDim), good, bad)
-	if err != nil {
-		t.Fatal(err)
-	}
-	strict := *f
-	strict.Margin = -0.2
-	lax := *f
-	lax.Margin = 0.5
-	strictDrops, laxDrops := 0, 0
-	for _, d := range testBad {
-		if ok, _ := strict.Keep(d); !ok {
-			strictDrops++
-		}
-		if ok, _ := lax.Keep(d); !ok {
-			laxDrops++
-		}
-	}
-	if strictDrops < laxDrops {
-		t.Errorf("negative margin dropped fewer (%d) than positive (%d)", strictDrops, laxDrops)
-	}
-}
-
 func TestClassifierFilterValidation(t *testing.T) {
 	e := embed.NewHashEmbedder(32)
 	if _, err := FitClassifierFilter(e, nil, []string{"x"}); err == nil {

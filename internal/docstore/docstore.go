@@ -23,8 +23,6 @@ var ErrNotFound = errors.New("docstore: not found")
 type Document struct {
 	ID   string
 	Text string
-	// Meta carries caller-defined attributes (domain, kind, ...).
-	Meta map[string]string
 }
 
 // Chunk is a retrievable segment of a document.

@@ -40,36 +40,25 @@ type Embedder interface {
 	Dim() int
 }
 
+// hashSeed seeds every feature hash the embedder computes.
+const hashSeed = 0x5eed
+
 // HashEmbedder is the feature-hashing Embedder described in the package
-// comment. The zero value is not usable; construct with NewHashEmbedder.
-// It is safe for concurrent use (it holds no mutable state).
+// comment: token, character-trigram and token-bigram features hashed
+// with hashSeed. The zero value is not usable; construct with
+// NewHashEmbedder. It is safe for concurrent use (it holds no mutable
+// state).
 type HashEmbedder struct {
-	dim     int
-	seed    uint64
-	bigrams bool
+	dim int
 }
-
-// Option configures a HashEmbedder.
-type Option func(*HashEmbedder)
-
-// WithSeed sets the hash seed, giving an independent embedding family.
-func WithSeed(seed uint64) Option { return func(e *HashEmbedder) { e.seed = seed } }
-
-// WithoutBigrams disables bigram features, making the embedding a pure
-// bag-of-words encoding.
-func WithoutBigrams() Option { return func(e *HashEmbedder) { e.bigrams = false } }
 
 // NewHashEmbedder returns a HashEmbedder producing dim-dimensional vectors.
 // It panics if dim <= 0 (a programming error, not a runtime condition).
-func NewHashEmbedder(dim int, opts ...Option) *HashEmbedder {
+func NewHashEmbedder(dim int) *HashEmbedder {
 	if dim <= 0 {
 		panic(fmt.Sprintf("embed: invalid dimension %d", dim))
 	}
-	e := &HashEmbedder{dim: dim, seed: 0x5eed, bigrams: true}
-	for _, o := range opts {
-		o(e)
-	}
-	return e
+	return &HashEmbedder{dim: dim}
 }
 
 // Dim implements Embedder.
@@ -144,34 +133,33 @@ func (e *HashEmbedder) Embed(text string) []float32 {
 			buf[0], buf[1] = '#', '#'
 			for j := 0; j+3 <= len(t); j++ {
 				buf[2], buf[3], buf[4] = t[j], t[j+1], t[j+2]
-				e.addHash(v, token.Hash64SeedBytes(buf[:], e.seed), subwordWeight*w)
+				e.addHash(v, token.Hash64SeedBytes(buf[:], hashSeed), subwordWeight*w)
 			}
 		}
 	}
-	if e.bigrams {
-		for i, h := range token.HashNGrams(toks, 2) {
-			// Bigram weight is the min of its two token weights,
-			// computed on the fly: tokenWeight is two map lookups,
-			// cheaper than materializing a per-token scratch slice.
-			w := tokenWeight(toks[i])
-			if w2 := tokenWeight(toks[i+1]); w2 < w {
-				w = w2
-			}
-			e.addHash(v, h, 0.5*w)
+	for i, h := range token.HashNGrams(toks, 2) {
+		// Bigram weight is the min of its two token weights, computed
+		// on the fly: tokenWeight is two map lookups, cheaper than
+		// materializing a per-token scratch slice.
+		w := tokenWeight(toks[i])
+		if w2 := tokenWeight(toks[i+1]); w2 < w {
+			w = w2
 		}
+		e.addHash(v, h, 0.5*w)
 	}
 	Normalize(v)
 	return v
 }
 
 func (e *HashEmbedder) add(v []float32, feature string, w float32) {
-	e.addHash(v, token.Hash64Seed(feature, e.seed), w)
+	e.addHash(v, token.Hash64Seed(feature, hashSeed), w)
 }
 
 func (e *HashEmbedder) addHash(v []float32, h uint64, w float32) {
-	// Mix in the seed so independent embedders decorrelate on shared
-	// n-gram hashes too.
-	h ^= e.seed * 0x9e3779b97f4a7c15
+	// Mix in the seed, times the 64-bit golden ratio (wrapping), so
+	// n-gram hashes are seeded too.
+	seed := uint64(hashSeed)
+	h ^= seed * 0x9e3779b97f4a7c15
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33

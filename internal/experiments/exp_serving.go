@@ -69,7 +69,6 @@ func runE12() (*metrics.Table, error) {
 	for _, split := range [][2]int{{1, 3}, {2, 2}, {3, 1}} {
 		rep, err := serving.RunDisaggregated(gpu, reqs, serving.DisaggOpts{
 			PrefillGPUs: split[0], DecodeGPUs: split[1],
-			TransferMSPerToken: 0.005, OverlapTransfer: true,
 		})
 		if err != nil {
 			return nil, err

@@ -128,10 +128,11 @@ type Evaporate struct {
 	// SampleSize is how many records receive direct LLM extraction to
 	// label the sample (default 10).
 	SampleSize int
-	// MinAccuracy prunes candidate functions scoring below it on the
-	// sample (default 0.3).
-	MinAccuracy float64
 }
+
+// minAccuracy prunes Evaporate's candidate functions scoring below it
+// on the labeled sample.
+const minAccuracy = 0.3
 
 // Extract implements Extractor.
 func (e Evaporate) Extract(rs *corpus.RecordSet) (*Results, error) {
@@ -144,10 +145,6 @@ func (e Evaporate) Extract(rs *corpus.RecordSet) (*Results, error) {
 	}
 	if sampleSize > len(rs.Records) {
 		sampleSize = len(rs.Records)
-	}
-	minAcc := e.MinAccuracy
-	if minAcc <= 0 {
-		minAcc = 0.3
 	}
 	out := &Results{Values: make(map[string]map[string]string, len(rs.Records))}
 
@@ -202,7 +199,7 @@ func (e Evaporate) Extract(rs *corpus.RecordSet) (*Results, error) {
 			continue
 		}
 		c.weight = float64(agree) / float64(fired)
-		if c.weight >= minAcc {
+		if c.weight >= minAccuracy {
 			kept = append(kept, c)
 		}
 	}

@@ -130,7 +130,7 @@ func TestWeakFunctionDownweighted(t *testing.T) {
 	// with trailing colon content equal — ensure vote combination does
 	// not let a weak function override three strong ones.
 	rs := records(t, 100, 0)
-	evap, err := Evaporate{Client: perfectClient(6), SampleSize: 15, MinAccuracy: 0.3}.Extract(rs)
+	evap, err := Evaporate{Client: perfectClient(6), SampleSize: 15}.Extract(rs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,6 +29,14 @@ import (
 	"dataai/internal/token"
 )
 
+// What an injected fault charges on the simulated clock.
+const (
+	// retryAfterMS is the hint an injected rate-limit error carries.
+	retryAfterMS float64 = 40
+	// timeoutMS is the latency an injected timeout charges.
+	timeoutMS float64 = 250
+)
+
 // Plan sets the per-call fault probabilities. All rates are in [0,1]
 // and are evaluated independently in a fixed precedence order per
 // attempt: outage, then timeout, then rate limit, then transient, then
@@ -39,18 +47,12 @@ type Plan struct {
 	// nothing is charged).
 	TransientRate float64
 	// RateLimitRate is the probability an attempt is refused with a
-	// llm.RateLimitError carrying RetryAfterMS.
+	// llm.RateLimitError carrying retryAfterMS.
 	RateLimitRate float64
-	// RetryAfterMS is the hint carried by injected rate-limit errors
-	// (default 40ms when zero).
-	RetryAfterMS float64
 	// TimeoutRate is the probability an attempt times out: the request
-	// was sent, so its prompt tokens and TimeoutMS of latency are
+	// was sent, so its prompt tokens and timeoutMS of latency are
 	// charged as waste, but no answer comes back.
 	TimeoutRate float64
-	// TimeoutMS is the simulated latency charged by a timeout (default
-	// 250ms when zero).
-	TimeoutMS float64
 	// OutageRate is the probability a given prompt falls inside a
 	// sustained outage window: its first OutageDepth attempts all fail
 	// with llm.ErrTransient no matter what, modelling an endpoint that
@@ -142,21 +144,13 @@ func (in *Injector) draw(prompt string, attempt int, salt string) float64 {
 
 // Complete implements llm.Client.
 func (in *Injector) Complete(req llm.Request) (llm.Response, error) {
-	key := token.Hash64Seed(req.Prompt, uint64(req.MaxTokens)+0x5eed)
+	key := token.Hash64Seed(req.Prompt, 0x5eed)
 	in.mu.Lock()
 	attempt := in.attempts[key]
 	in.attempts[key] = attempt + 1
 	in.stats.Calls++
 	in.mu.Unlock()
 
-	retryAfter := in.plan.RetryAfterMS
-	if retryAfter <= 0 {
-		retryAfter = 40
-	}
-	timeoutMS := in.plan.TimeoutMS
-	if timeoutMS <= 0 {
-		timeoutMS = 250
-	}
 	outageDepth := in.plan.OutageDepth
 	if outageDepth <= 0 {
 		outageDepth = 4
@@ -184,7 +178,7 @@ func (in *Injector) Complete(req llm.Request) (llm.Response, error) {
 	}
 	if in.draw(req.Prompt, attempt, "ratelimit") < in.plan.RateLimitRate {
 		in.count(func(s *Stats) { s.RateLimited++ })
-		return llm.Response{}, &llm.RateLimitError{RetryAfterMS: retryAfter}
+		return llm.Response{}, &llm.RateLimitError{RetryAfterMS: retryAfterMS}
 	}
 	if in.draw(req.Prompt, attempt, "transient") < in.plan.TransientRate {
 		in.count(func(s *Stats) { s.Transient++ })

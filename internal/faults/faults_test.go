@@ -92,7 +92,7 @@ func TestInjectorOrderIndependent(t *testing.T) {
 }
 
 func TestInjectorTimeoutChargesWaste(t *testing.T) {
-	in := New(&echoClient{}, Plan{TimeoutRate: 1, TimeoutMS: 123}, 1)
+	in := New(&echoClient{}, Plan{TimeoutRate: 1}, 1)
 	r, err := in.Complete(llm.Request{Prompt: "will time out"})
 	if !errors.Is(err, llm.ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
@@ -100,23 +100,23 @@ func TestInjectorTimeoutChargesWaste(t *testing.T) {
 	if !llm.IsRetryable(err) {
 		t.Fatal("timeout must be retryable")
 	}
-	if r.PromptTokens == 0 || r.LatencyMS != 123 {
+	if r.PromptTokens == 0 || r.LatencyMS != timeoutMS {
 		t.Fatalf("timeout must charge prompt tokens and deadline latency, got %d tok / %v ms", r.PromptTokens, r.LatencyMS)
 	}
 	s := in.Stats()
-	if s.Timeouts != 1 || s.WastedPromptTokens == 0 || s.WastedLatencyMS != 123 {
+	if s.Timeouts != 1 || s.WastedPromptTokens == 0 || s.WastedLatencyMS != timeoutMS {
 		t.Fatalf("stats = %+v", s)
 	}
 }
 
 func TestInjectorRateLimitCarriesHint(t *testing.T) {
-	in := New(&echoClient{}, Plan{RateLimitRate: 1, RetryAfterMS: 77}, 1)
+	in := New(&echoClient{}, Plan{RateLimitRate: 1}, 1)
 	_, err := in.Complete(llm.Request{Prompt: "throttled"})
 	if !errors.Is(err, llm.ErrRateLimited) {
 		t.Fatalf("err = %v, want ErrRateLimited", err)
 	}
-	if ms, ok := llm.RetryAfter(err); !ok || ms != 77 {
-		t.Fatalf("RetryAfter = %v/%v, want 77/true", ms, ok)
+	if ms, ok := llm.RetryAfter(err); !ok || ms != retryAfterMS {
+		t.Fatalf("RetryAfter = %v/%v, want %v/true", ms, ok, retryAfterMS)
 	}
 }
 

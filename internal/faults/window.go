@@ -6,7 +6,7 @@ import (
 	"dataai/internal/token"
 )
 
-// This file holds the seeded-draw and fault-window helpers shared by
+// This file holds the seeded-draw and fault-window key helpers shared by
 // every fault model in the repository: the call-path Injector in this
 // package and the serving cluster's FaultPlan (internal/serving) both
 // derive their faults from Uniform, so a fault is always a pure function
@@ -18,15 +18,6 @@ import (
 func Uniform(seed uint64, key string) float64 {
 	h := token.Hash64Seed(key, seed)
 	return float64(h>>11) / float64(1<<53)
-}
-
-// WindowIndex maps a logical-clock time to its fault-window ordinal for
-// windows of widthMS. Times before zero clamp to window 0.
-func WindowIndex(tMS, widthMS float64) int {
-	if widthMS <= 0 || tMS <= 0 {
-		return 0
-	}
-	return int(tMS / widthMS)
 }
 
 // WindowKey names one (kind, instance, window) cell for Uniform, giving

@@ -66,7 +66,7 @@ func (c *Cache) SetObs(tr *obs.Tracer) {
 // inner invocation instead of N. Waiters are accounted as hits — they
 // were served without spending tokens, exactly like a lookup hit.
 func (c *Cache) Complete(req Request) (Response, error) {
-	key := token.Hash64Seed(req.Prompt, uint64(req.MaxTokens)+1)
+	key := token.Hash64Seed(req.Prompt, 1)
 	c.mu.Lock()
 	if r, ok := c.m[key]; ok {
 		c.hits++

@@ -25,7 +25,7 @@ func TestCacheParallelComplete(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				prompt := fmt.Sprintf("stress prompt %d", (w+i)%keys)
-				r, err := c.Complete(Request{Prompt: prompt, MaxTokens: 32})
+				r, err := c.Complete(Request{Prompt: prompt})
 				if err != nil {
 					t.Errorf("Complete: %v", err)
 					return
@@ -63,7 +63,7 @@ func TestCacheParallelDeterministicResponses(t *testing.T) {
 	want := map[string]string{}
 	for i := 0; i < 8; i++ {
 		p := fmt.Sprintf("determinism %d", i)
-		r, err := ref.Complete(Request{Prompt: p, MaxTokens: 32})
+		r, err := ref.Complete(Request{Prompt: p})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +77,7 @@ func TestCacheParallelDeterministicResponses(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
 				p := fmt.Sprintf("determinism %d", i%8)
-				r, err := c.Complete(Request{Prompt: p, MaxTokens: 32})
+				r, err := c.Complete(Request{Prompt: p})
 				if err != nil {
 					t.Errorf("Complete: %v", err)
 					return
@@ -101,7 +101,7 @@ func TestCascadeParallelComplete(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				_, err := cas.Complete(Request{Prompt: fmt.Sprintf("cascade %d/%d", w, i), MaxTokens: 16})
+				_, err := cas.Complete(Request{Prompt: fmt.Sprintf("cascade %d/%d", w, i)})
 				if err != nil {
 					t.Errorf("Complete: %v", err)
 					return
@@ -164,7 +164,7 @@ func TestCacheSingleFlightDedup(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				p := fmt.Sprintf("flight %d", (w*rounds+i)%distinct)
-				r, err := c.Complete(Request{Prompt: p, MaxTokens: 8})
+				r, err := c.Complete(Request{Prompt: p})
 				if err != nil {
 					t.Errorf("Complete: %v", err)
 					return

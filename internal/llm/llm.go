@@ -98,8 +98,6 @@ func SmallModel() Model {
 // Request is one completion call.
 type Request struct {
 	Prompt string
-	// MaxTokens caps the completion length; 0 means the model default.
-	MaxTokens int
 }
 
 // Response is the result of a completion call.

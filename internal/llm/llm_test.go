@@ -232,25 +232,14 @@ func TestClassify(t *testing.T) {
 	}
 }
 
-func TestGenerateRespectsMaxTokens(t *testing.T) {
-	s := NewSimulator(perfectModel(), 10)
-	r, err := s.Complete(Request{Prompt: GeneratePrompt("write something"), MaxTokens: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.CompletionTokens != 7 {
-		t.Errorf("completion tokens = %d, want 7", r.CompletionTokens)
-	}
-}
-
 func TestFreeFormPromptIsGenerate(t *testing.T) {
 	s := NewSimulator(perfectModel(), 11)
-	r, err := s.Complete(Request{Prompt: "just some text", MaxTokens: 5})
+	r, err := s.Complete(Request{Prompt: "just some text"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Text == "" {
-		t.Error("free-form prompt produced nothing")
+	if r.CompletionTokens != generateTokens {
+		t.Errorf("free-form prompt generated %d tokens, want %d", r.CompletionTokens, generateTokens)
 	}
 }
 
@@ -331,19 +320,6 @@ func TestCacheHitIsFree(t *testing.T) {
 	}
 	if s.Usage().Calls != 1 {
 		t.Errorf("inner model called %d times, want 1", s.Usage().Calls)
-	}
-}
-
-func TestCacheKeyIncludesMaxTokens(t *testing.T) {
-	s := NewSimulator(perfectModel(), 16)
-	c := NewCache(s)
-	r1, _ := c.Complete(Request{Prompt: GeneratePrompt("x"), MaxTokens: 3})
-	r2, _ := c.Complete(Request{Prompt: GeneratePrompt("x"), MaxTokens: 9})
-	if r2.Cached {
-		t.Error("different MaxTokens must not share a cache entry")
-	}
-	if r1.CompletionTokens == r2.CompletionTokens {
-		t.Error("expected different completion lengths")
 	}
 }
 
@@ -484,10 +460,10 @@ func TestSimulatorModelAndCacheUsage(t *testing.T) {
 	}
 	c := NewCache(s)
 	p := GeneratePrompt("usage check")
-	if _, err := c.Complete(Request{Prompt: p, MaxTokens: 4}); err != nil {
+	if _, err := c.Complete(Request{Prompt: p}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Complete(Request{Prompt: p, MaxTokens: 4}); err != nil {
+	if _, err := c.Complete(Request{Prompt: p}); err != nil {
 		t.Fatal(err)
 	}
 	u := c.Usage()

@@ -12,7 +12,7 @@ func TestCacheObsCounters(t *testing.T) {
 	tr := obs.NewTracer()
 	c.SetObs(tr)
 
-	req := Request{Prompt: "p", MaxTokens: 8}
+	req := Request{Prompt: "p"}
 	for i := 0; i < 3; i++ {
 		if _, err := c.Complete(req); err != nil {
 			t.Fatal(err)

@@ -97,10 +97,7 @@ func (s *Simulator) Complete(req Request) (Response, error) {
 	case taskClassify:
 		text, conf = s.classify(req.Prompt, p)
 	case taskGenerate:
-		text, conf = s.generate(req.Prompt, p, req.MaxTokens)
-	}
-	if req.MaxTokens > 0 {
-		text = truncateTokens(text, req.MaxTokens)
+		text, conf = s.generate(p)
 	}
 	completion := token.Count(text)
 	resp := Response{
@@ -361,28 +358,19 @@ func (s *Simulator) classify(prompt string, p parsedPrompt) (string, float64) {
 	return best, s.confidence(prompt, uErr)
 }
 
+// generateTokens is the length of every generated continuation.
+const generateTokens = 32
+
 // generate emits deterministic filler continuation text.
-func (s *Simulator) generate(prompt string, p parsedPrompt, maxTokens int) (string, float64) {
-	if maxTokens <= 0 {
-		maxTokens = 32
-	}
+func (s *Simulator) generate(p parsedPrompt) (string, float64) {
 	words := []string{"data", "model", "system", "query", "cache", "index", "token", "plan", "store", "train"}
 	h := token.Hash64Seed(p.free, s.seed^0x9e37)
-	parts := make([]string, maxTokens)
+	parts := make([]string, generateTokens)
 	for i := range parts {
 		h ^= h << 13
 		h ^= h >> 7
 		h ^= h << 17
 		parts[i] = words[h%uint64(len(words))]
 	}
-	_ = prompt
 	return strings.Join(parts, " "), 0.5
-}
-
-func truncateTokens(text string, max int) string {
-	toks := token.Tokenize(text)
-	if len(toks) <= max {
-		return text
-	}
-	return token.Detokenize(toks[:max])
 }

@@ -290,14 +290,3 @@ func F1(precision, recall float64) float64 {
 	}
 	return 2 * precision * recall / (precision + recall)
 }
-
-// PrecisionRecall computes precision and recall from counts.
-func PrecisionRecall(truePos, falsePos, falseNeg int) (precision, recall float64) {
-	if truePos+falsePos > 0 {
-		precision = float64(truePos) / float64(truePos+falsePos)
-	}
-	if truePos+falseNeg > 0 {
-		recall = float64(truePos) / float64(truePos+falseNeg)
-	}
-	return precision, recall
-}

@@ -156,20 +156,15 @@ func TestRatio(t *testing.T) {
 	}
 }
 
-func TestF1AndPrecisionRecall(t *testing.T) {
-	p, r := PrecisionRecall(8, 2, 2)
-	if p != 0.8 || r != 0.8 {
-		t.Errorf("P/R = %v/%v", p, r)
-	}
-	if got := F1(p, r); math.Abs(got-0.8) > 1e-9 {
+func TestF1(t *testing.T) {
+	if got := F1(0.8, 0.8); math.Abs(got-0.8) > 1e-9 {
 		t.Errorf("F1 = %v", got)
+	}
+	if got := F1(1, 0.5); math.Abs(got-2.0/3) > 1e-9 {
+		t.Errorf("F1(1, 0.5) = %v, want 2/3", got)
 	}
 	if F1(0, 0) != 0 {
 		t.Error("F1(0,0) should be 0")
-	}
-	p, r = PrecisionRecall(0, 0, 0)
-	if p != 0 || r != 0 {
-		t.Error("zero counts should yield zero P/R")
 	}
 }
 

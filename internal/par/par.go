@@ -342,11 +342,6 @@ func ForEach(n, workers int, fn func(i int)) {
 	})
 }
 
-// Chunks reports the number of chunks MapChunks and Reduce will use for
-// n items at the given worker count — min(workers, n) after defaulting,
-// a pure function of (n, workers).
-func Chunks(n, workers int) int { return clampWorkers(workers, n) }
-
 // ChunkBounds returns the half-open range [lo, hi) of chunk c out of
 // `chunks` over n items. Boundaries are the standard balanced split
 // (sizes differ by at most one) and depend only on (n, chunks, c).

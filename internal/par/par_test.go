@@ -68,8 +68,8 @@ func TestMapChunksOrderAndCoverage(t *testing.T) {
 			mu.Unlock()
 			return [2]int{lo, hi}
 		})
-		if len(parts) != Chunks(tc.n, tc.workers) {
-			t.Fatalf("n=%d w=%d: %d parts, want %d", tc.n, tc.workers, len(parts), Chunks(tc.n, tc.workers))
+		if want := min(tc.workers, tc.n); len(parts) != want {
+			t.Fatalf("n=%d w=%d: %d parts, want %d", tc.n, tc.workers, len(parts), want)
 		}
 		for i := range covered {
 			if !covered[i] {

@@ -61,10 +61,6 @@ func WithTopK(k int) Option { return func(p *Pipeline) { p.topK = k } }
 // "reranking" among the RAG challenges).
 func WithRerank() Option { return func(p *Pipeline) { p.rerank = true } }
 
-// WithChunker sets the segmentation policy used at ingest (default
-// SentenceChunker with a 48-token budget).
-func WithChunker(c docstore.Chunker) Option { return func(p *Pipeline) { p.chunker = c } }
-
 // WithContextShrink enables graceful degradation on context overflow:
 // when the model rejects the assembled prompt with
 // llm.ErrContextOverflow, the pipeline halves the retrieved context and
@@ -75,14 +71,13 @@ func WithContextShrink() Option { return func(p *Pipeline) { p.shrink = true } }
 
 // Pipeline is a configured RAG stack.
 type Pipeline struct {
-	client  llm.Client
-	emb     embed.Embedder
-	index   vecdb.Index
-	store   *docstore.Store
-	chunker docstore.Chunker
-	topK    int
-	rerank  bool
-	shrink  bool
+	client llm.Client
+	emb    embed.Embedder
+	index  vecdb.Index
+	store  *docstore.Store
+	topK   int
+	rerank bool
+	shrink bool
 }
 
 // New assembles a pipeline from its parts. index must be empty and match
@@ -92,12 +87,11 @@ func New(client llm.Client, emb embed.Embedder, index vecdb.Index, opts ...Optio
 		return nil, fmt.Errorf("rag: embedder dim %d != index dim %d", emb.Dim(), index.Dim())
 	}
 	p := &Pipeline{
-		client:  client,
-		emb:     emb,
-		index:   index,
-		store:   docstore.NewStore(),
-		chunker: docstore.SentenceChunker{MaxTokens: 16},
-		topK:    4,
+		client: client,
+		emb:    emb,
+		index:  index,
+		store:  docstore.NewStore(),
+		topK:   4,
 	}
 	for _, o := range opts {
 		o(p)
@@ -108,9 +102,9 @@ func New(client llm.Client, emb embed.Embedder, index vecdb.Index, opts ...Optio
 	return p, nil
 }
 
-// Ingest chunks, embeds, and indexes the documents. The chunker and
-// the embedder run on several goroutines at once (both interfaces
-// require implementations safe for that); the store and the index are
+// Ingest chunks, embeds, and indexes the documents. Chunking and the
+// embedder run on several goroutines at once (the Embedder interface
+// requires implementations safe for that); the store and the index are
 // written in document order, as one document at a time would write
 // them. On an error the store and index hold exactly what that serial
 // order would have left: every document before the failing one, and
@@ -119,6 +113,11 @@ func (p *Pipeline) Ingest(docs []docstore.Document) error {
 	return p.ingest(docs, par.DefaultWorkers())
 }
 
+// chunkTokens is the chunk budget at ingest: each document is cut into
+// whole sentences packed into chunks of at most chunkTokens tokens
+// (docstore.SentenceChunker).
+const chunkTokens = 16
+
 // ingestWindow is how many documents ingest cuts and embeds before it
 // stores and indexes them: at prep-rag's ~3.7 chunks per document, about
 // a thousand chunks a window, enough to keep every worker busy while
@@ -126,7 +125,7 @@ func (p *Pipeline) Ingest(docs []docstore.Document) error {
 const ingestWindow = 256
 
 // ingest is Ingest on up to workers goroutines. Each window of documents
-// is cut (the chunker per document) and embedded (embed.EmbedBatch over
+// is cut (a SentenceChunker per document) and embedded (embed.EmbedBatch over
 // the window's chunks) in parallel, then committed serially: the store
 // receives each document with a chunker that returns the pieces already
 // cut, and the index each chunk's vector, in order.
@@ -135,7 +134,7 @@ func (p *Pipeline) ingest(docs []docstore.Document, workers int) error {
 	for lo := 0; lo < len(docs); lo += ingestWindow {
 		window := docs[lo:min(lo+ingestWindow, len(docs))]
 		pieces := par.Map(len(window), workers, func(i int) []string {
-			return p.chunker.Chunk(window[i].Text)
+			return docstore.SentenceChunker{MaxTokens: chunkTokens}.Chunk(window[i].Text)
 		})
 		texts = texts[:0]
 		for _, ps := range pieces {

@@ -31,7 +31,7 @@ func buildCorpusPipeline(t *testing.T, client llm.Client, opts ...Option) (*Pipe
 	}
 	docs := make([]docstore.Document, len(c.Docs))
 	for i, d := range c.Docs {
-		docs[i] = docstore.Document{ID: d.ID, Text: d.Text, Meta: map[string]string{"domain": d.Domain}}
+		docs[i] = docstore.Document{ID: d.ID, Text: d.Text}
 	}
 	if err := p.Ingest(docs); err != nil {
 		t.Fatal(err)
@@ -331,7 +331,7 @@ func TestRemoveDocumentForgetsFacts(t *testing.T) {
 // the oracle for TestIngestMatchesSerial.
 func ingestReference(p *Pipeline, docs []docstore.Document) error {
 	for _, d := range docs {
-		chunks, err := p.store.AddDocument(d, p.chunker)
+		chunks, err := p.store.AddDocument(d, docstore.SentenceChunker{MaxTokens: chunkTokens})
 		if err != nil {
 			return fmt.Errorf("rag: ingest %s: %w", d.ID, err)
 		}
@@ -389,7 +389,7 @@ func TestIngestMatchesSerial(t *testing.T) {
 	poisonDoc := -1
 	var poison string
 	for i := ingestWindow + 5; i < len(docs) && poisonDoc < 0; i++ {
-		if pieces := (docstore.SentenceChunker{MaxTokens: 16}).Chunk(docs[i].Text); len(pieces) >= 3 {
+		if pieces := (docstore.SentenceChunker{MaxTokens: chunkTokens}).Chunk(docs[i].Text); len(pieces) >= 3 {
 			poisonDoc, poison = i, pieces[1]
 		}
 	}

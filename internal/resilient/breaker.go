@@ -2,7 +2,13 @@ package resilient
 
 import "sync"
 
-// BreakerPolicy configures the circuit breaker.
+// fastFailMS is the latency charged to a call rejected by the open
+// circuit — the cost of discovering the breaker state, which also
+// advances the simulated clock toward cooldown expiry.
+const fastFailMS = 1
+
+// BreakerPolicy configures the circuit breaker. A half-open circuit
+// closes again on its first successful probe.
 type BreakerPolicy struct {
 	// FailureThreshold is how many consecutive primary-path failures
 	// open the circuit (default 5 when zero).
@@ -10,13 +16,6 @@ type BreakerPolicy struct {
 	// CooldownMS is how long, on the simulated clock, the circuit
 	// stays open before admitting half-open probes (default 1000).
 	CooldownMS float64
-	// HalfOpenProbes is how many consecutive probe successes close the
-	// circuit again (default 1).
-	HalfOpenProbes int
-	// FastFailMS is the latency charged to a call rejected by the open
-	// circuit — the cost of discovering the breaker state, which also
-	// advances the simulated clock toward cooldown expiry (default 1).
-	FastFailMS float64
 }
 
 func (p BreakerPolicy) withDefaults() BreakerPolicy {
@@ -25,12 +24,6 @@ func (p BreakerPolicy) withDefaults() BreakerPolicy {
 	}
 	if p.CooldownMS <= 0 {
 		p.CooldownMS = 1000
-	}
-	if p.HalfOpenProbes <= 0 {
-		p.HalfOpenProbes = 1
-	}
-	if p.FastFailMS <= 0 {
-		p.FastFailMS = 1
 	}
 	return p
 }
@@ -74,7 +67,6 @@ type breaker struct {
 	mu          sync.Mutex
 	state       BreakerState
 	consecFails int
-	probeWins   int
 	openedAtMS  float64
 	clockMS     float64
 	stats       BreakerStats
@@ -92,27 +84,26 @@ func (b *breaker) advance(ms float64) {
 }
 
 // allow reports whether a call may proceed. A rejected call costs
-// FastFailMS of simulated latency (returned for the caller to charge);
-// the charge is applied to the clock here so repeated rejections walk
-// the clock toward cooldown expiry instead of freezing time.
-func (b *breaker) allow() (ok bool, fastFailMS float64) {
+// fastFailMS of simulated latency, which the caller charges; the charge
+// is applied to the clock here so repeated rejections walk the clock
+// toward cooldown expiry instead of freezing time.
+func (b *breaker) allow() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
 	case BreakerClosed:
-		return true, 0
+		return true
 	case BreakerOpen:
 		if b.clockMS-b.openedAtMS >= b.policy.CooldownMS {
 			b.state = BreakerHalfOpen
-			b.probeWins = 0
 			b.stats.HalfOpens++
-			return true, 0
+			return true
 		}
 		b.stats.FastFails++
-		b.clockMS += b.policy.FastFailMS
-		return false, b.policy.FastFailMS
+		b.clockMS += fastFailMS
+		return false
 	default: // half-open: probes are admitted, outcomes decide the state
-		return true, 0
+		return true
 	}
 }
 
@@ -122,11 +113,8 @@ func (b *breaker) onSuccess() {
 	defer b.mu.Unlock()
 	b.consecFails = 0
 	if b.state == BreakerHalfOpen {
-		b.probeWins++
-		if b.probeWins >= b.policy.HalfOpenProbes {
-			b.state = BreakerClosed
-			b.stats.Closed++
-		}
+		b.state = BreakerClosed
+		b.stats.Closed++
 	}
 }
 

@@ -15,7 +15,6 @@ type Breaker struct {
 	policy      BreakerPolicy
 	state       BreakerState
 	consecFails int
-	probeWins   int
 	openedAtMS  float64
 	stats       BreakerStats
 }
@@ -30,23 +29,19 @@ func NewBreaker(p BreakerPolicy) *Breaker {
 func (b *Breaker) StateAt(nowMS float64) BreakerState {
 	if b.state == BreakerOpen && nowMS-b.openedAtMS >= b.policy.CooldownMS {
 		b.state = BreakerHalfOpen
-		b.probeWins = 0
 		b.stats.HalfOpens++
 	}
 	return b.state
 }
 
 // OnSuccess records a successful call at nowMS: it resets the failure
-// streak and, half-open, counts toward closing the circuit.
+// streak and, half-open, closes the circuit.
 func (b *Breaker) OnSuccess(nowMS float64) {
 	b.StateAt(nowMS)
 	b.consecFails = 0
 	if b.state == BreakerHalfOpen {
-		b.probeWins++
-		if b.probeWins >= b.policy.HalfOpenProbes {
-			b.state = BreakerClosed
-			b.stats.Closed++
-		}
+		b.state = BreakerClosed
+		b.stats.Closed++
 	}
 }
 

@@ -250,7 +250,7 @@ func (c *Client) Complete(req llm.Request) (llm.Response, error) {
 	var lastErr error
 
 	if c.breaker != nil {
-		if ok, fastFailMS := c.breaker.allow(); !ok {
+		if !c.breaker.allow() {
 			waste.LatencyMS += fastFailMS
 			ct.child("breaker-fastfail", fastFailMS)
 			ct.bump("resilient/fastfails")
@@ -407,36 +407,21 @@ func (c *Client) count(f func(*Stats)) {
 
 // Retrier applies the same bounded-retry discipline to arbitrary step
 // functions — the agent's tool-invocation loop uses it in place of its
-// former ad-hoc loop. Backoff is charged, not slept, exactly as in
-// Client; a zero BaseBackoffMS charges nothing, preserving legacy
-// behaviour.
+// former ad-hoc loop. Retries are immediate: a step charges no backoff.
 type Retrier struct {
 	// MaxRetries is how many times fn is re-run after its first
 	// failure.
 	MaxRetries int
-	// BaseBackoffMS / MaxBackoffMS / JitterFrac / Seed mirror Policy;
-	// all-zero means retry immediately with no charged wait.
-	BaseBackoffMS float64
-	MaxBackoffMS  float64
-	JitterFrac    float64
-	Seed          uint64
 }
 
 // Do runs fn(attempt) until it returns nil or the retry budget is
-// exhausted. It reports the number of retries performed, the total
-// simulated backoff charged, and fn's final error (nil on success).
-func (r Retrier) Do(key string, fn func(attempt int) error) (retries int, backoffMS float64, err error) {
-	maxMS := r.MaxBackoffMS
-	if maxMS <= 0 {
-		maxMS = r.BaseBackoffMS
-	}
+// exhausted. It reports the number of retries performed and fn's final
+// error (nil on success).
+func (r Retrier) Do(fn func(attempt int) error) (retries int, err error) {
 	for attempt := 0; ; attempt++ {
 		err = fn(attempt)
 		if err == nil || attempt >= r.MaxRetries {
-			return attempt, backoffMS, err
-		}
-		if r.BaseBackoffMS > 0 {
-			backoffMS += backoffFor(r.BaseBackoffMS, maxMS, r.JitterFrac, key, attempt+1, r.Seed)
+			return attempt, err
 		}
 	}
 }

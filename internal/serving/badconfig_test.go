@@ -41,7 +41,7 @@ func TestBadConfigsFailFast(t *testing.T) {
 			return err
 		}, false},
 		{"RunDisaggregated", func(g GPUConfig, _ ContinuousOpts) error {
-			_, err := RunDisaggregated(g, reqs, DisaggOpts{PrefillGPUs: 1, DecodeGPUs: 1, TransferMSPerToken: 0.01})
+			_, err := RunDisaggregated(g, reqs, DisaggOpts{PrefillGPUs: 1, DecodeGPUs: 1})
 			return err
 		}, false},
 	}

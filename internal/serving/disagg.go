@@ -14,16 +14,6 @@ type DisaggOpts struct {
 	// two phases — the DistServe/Splitwise architecture.
 	PrefillGPUs int
 	DecodeGPUs  int
-	// TransferMSPerToken is the KV shipping cost from prefill to decode
-	// instances.
-	TransferMSPerToken float64
-	// OverlapTransfer hides transmission behind prefill computation
-	// (layer-wise streaming), the common optimization of [19, 45].
-	OverlapTransfer bool
-	// Faults, when non-nil, draws per-transfer KV-shipping failures from
-	// the plan's seed: a failed transfer is retried after paying the full
-	// (unoverlapped) transfer time again. Nil disables injection.
-	Faults *FaultPlan
 	// Trace, when non-nil, records the run's timeline: prefill-pool and
 	// decode-pool iteration spans plus per-request lifecycle phases
 	// (queue → prefill → transfer → queue → decode). Nil (the default)
@@ -35,9 +25,11 @@ type DisaggOpts struct {
 // GPU pools. Prefill instances each process one prompt at a time FCFS;
 // finished KV ships to decode instances round-robin in readiness order;
 // decode GPUs batch continuously and are never stalled by a prefill.
-// Both pools run on one shared sim.Engine clock: arrivals claim the
-// earliest-available prefill GPU, and each transfer-completion event
-// hands the sequence to the decode pool.
+// The KV transfer streams layer-wise behind the prefill computation, the
+// common optimization of [19, 45], so a sequence is ready to decode the
+// moment its prefill ends. Both pools run on one shared sim.Engine
+// clock: arrivals claim the earliest-available prefill GPU, and each
+// transfer-completion event hands the sequence to the decode pool.
 func RunDisaggregated(gpu GPUConfig, reqs []workload.Request, opts DisaggOpts) (*Report, error) {
 	if err := gpu.Validate(); err != nil {
 		return nil, err
@@ -66,27 +58,6 @@ func RunDisaggregated(gpu GPUConfig, reqs []workload.Request, opts DisaggOpts) (
 	// order (the engine fires arrivals in exactly that order).
 	prefillFree := make([]float64, opts.PrefillGPUs)
 	nextPool := 0
-	var deliver func(job decodeJob, attempt int)
-	deliver = func(job decodeJob, attempt int) {
-		eng.At(job.readyMS, func(now float64) {
-			if opts.Faults != nil && opts.Faults.transferFails(job.req.ID, attempt) {
-				// The shipment was lost: resend, paying the full transfer
-				// time (a retry cannot hide behind the finished prefill).
-				if opts.Trace != nil {
-					opts.Trace.Instant(now, reqTrack(job.req), "transfer-retry")
-					opts.Trace.Registry().Counter("transfer/retries").Add(now, 1)
-				}
-				retry := job
-				retry.readyMS = now + float64(job.req.PromptTokens)*opts.TransferMSPerToken
-				deliver(retry, attempt+1)
-				return
-			}
-			opts.Trace.End(now, job.transfer)
-			p := pools[nextPool%len(pools)]
-			nextPool++
-			p.arrive(now, job)
-		})
-	}
 	// One ArgHandler takes every arrival; its argument is the request's
 	// index in the trace, which is also the request's KV handle.
 	arrive := func(now float64, idx uint64) {
@@ -104,11 +75,7 @@ func RunDisaggregated(gpu GPUConfig, reqs []workload.Request, opts DisaggOpts) (
 		}
 		end := start + gpu.prefillMS(r.PromptTokens)
 		prefillFree[g] = end
-		transfer := float64(r.PromptTokens) * opts.TransferMSPerToken
-		if opts.OverlapTransfer {
-			transfer = 0 // streamed layer-wise during prefill
-		}
-		job := decodeJob{req: r, idx: int(idx), firstToken: end, readyMS: end + transfer}
+		job := decodeJob{req: r, idx: int(idx), firstToken: end}
 		if tr := opts.Trace; tr != nil {
 			// The prefill pool's schedule is fully decided here, so its
 			// spans are recorded now with their (future) logical times;
@@ -122,7 +89,14 @@ func RunDisaggregated(gpu GPUConfig, reqs []workload.Request, opts DisaggOpts) (
 			tr.End(end, p)
 			job.transfer = tr.Begin(end, reqTrack(r), obs.CatRequest, "transfer", job.root)
 		}
-		deliver(job, 0)
+		// The transfer completes with the prefill: hand the sequence to
+		// the decode pool round-robin.
+		eng.At(end, func(now float64) {
+			opts.Trace.End(now, job.transfer)
+			p := pools[nextPool%len(pools)]
+			nextPool++
+			p.arrive(now, job)
+		})
 	}
 	eng.Stream(len(ordered), func(i int) float64 { return ordered[i].ArrivalMS }, arrive)
 	eng.Run()
@@ -278,9 +252,7 @@ type decodeJob struct {
 	// handle on the decode pool.
 	idx        int
 	firstToken float64
-	readyMS    float64
 	// root and transfer are the request's lifecycle spans when tracing
-	// is on: transfer stays open across shipping retries and closes on
-	// delivery.
+	// is on: transfer closes on delivery.
 	root, transfer obs.SpanRef
 }

@@ -1,9 +1,15 @@
 package serving
 
-import (
-	"fmt"
+import "dataai/internal/faults"
 
-	"dataai/internal/faults"
+// Fault-plan timing on the logical clock.
+const (
+	// faultWindowMS is the fault-window width: every draw is per
+	// (instance or rack, window).
+	faultWindowMS = 2000
+	// detectMS is the failure-detection delay before the router learns
+	// of a crash and re-routes the dropped sequences.
+	detectMS = 50
 )
 
 // FaultPlan injects cluster-side faults into a routed serving run. It is
@@ -11,62 +17,46 @@ import (
 // fault is a pure function of (Seed, instance, time-window) drawn
 // through faults.Uniform, so a run is byte-identical across repetitions
 // and worker counts — faults never depend on wall time or event
-// interleaving, only on which window of the logical clock an instance is
-// in.
+// interleaving, only on which faultWindowMS window of the logical clock
+// an instance is in.
 //
-// Three fault kinds, all optional:
+// Two fault kinds, both optional:
 //
 //   - Crashes: at the start of a window whose crash draw fires, the
 //     instance goes down for CrashDownMS, dropping every in-flight
 //     sequence (their KV and GPU-resident caches die with the device);
-//     after DetectMS the router observes the failure and re-routes the
+//     after detectMS the router observes the failure and re-routes the
 //     dropped sequences to surviving instances.
 //   - Stragglers: during a window whose straggler draw fires, the
 //     instance's iteration costs are scaled by StragglerFactor — the
 //     GPU is alive but slow (thermal throttling, a noisy neighbour).
-//   - KV-transfer failures (disagg path): a transfer draw can lose a
-//     prefill→decode shipment, which is retried at full transfer cost.
 //
-// A plan may additionally carry a failure *topology* (RackSize /
-// RacksPerZone): crash draws then correlate within a rack or zone, and
-// OverloadAlpha adds a post-crash cascade that slows the survivors.
+// A plan may additionally carry a rack topology (RackSize): crash draws
+// then correlate within a rack, and OverloadAlpha adds a post-crash
+// cascade that slows the survivors.
 type FaultPlan struct {
 	// Seed drives every draw.
 	Seed uint64
-	// WindowMS is the fault-window width (default 2000).
-	WindowMS float64
 	// CrashProb is the per-(instance, window) probability of a crash at
 	// the window boundary.
 	CrashProb float64
 	// CrashDownMS is how long a crashed instance stays down (default
 	// 1500).
 	CrashDownMS float64
-	// DetectMS is the failure-detection delay before dropped sequences
-	// are re-routed (default 50).
-	DetectMS float64
 	// StragglerProb is the per-(instance, window) probability the
 	// instance runs slow for that window.
 	StragglerProb float64
 	// StragglerFactor scales iteration cost during straggler windows
 	// (default 2.5; values below 1 are clamped to 1).
 	StragglerFactor float64
-	// TransferFailProb is the per-attempt probability a disagg KV
-	// transfer is lost and must be resent.
-	TransferFailProb float64
 
 	// RackSize > 0 overlays a failure topology: instances are grouped
 	// into racks of RackSize consecutive indexes, and a per-(rack,
 	// window) draw of RackCrashProb crashes the whole rack at once —
 	// the correlated-domain regime where recovery policies separate
 	// hardest. 0 keeps every draw independent.
-	RackSize int
-	// RacksPerZone > 0 adds a second correlation level: racks are
-	// grouped into zones, and a per-(zone, window) draw of
-	// ZoneCrashProb takes the whole zone down (a power or network
-	// domain failure).
-	RacksPerZone  int
+	RackSize      int
 	RackCrashProb float64
-	ZoneCrashProb float64
 	// OverloadAlpha > 0 models the post-crash cascade: while d of the
 	// cluster's n instances are down, every survivor's iteration cost is
 	// scaled by 1 + OverloadAlpha·d/(n−d) — the rerouted load makes the
@@ -78,7 +68,7 @@ type FaultPlan struct {
 // MediumFaultPlan returns a plan with noticeable but survivable cluster
 // failure pressure: occasional crashes, some slow windows.
 func MediumFaultPlan(seed uint64) *FaultPlan {
-	return &FaultPlan{Seed: seed, CrashProb: 0.05, StragglerProb: 0.10, TransferFailProb: 0.02}
+	return &FaultPlan{Seed: seed, CrashProb: 0.05, StragglerProb: 0.10}
 }
 
 // SevereFaultPlan returns a plan modelling a badly degraded cluster:
@@ -86,7 +76,7 @@ func MediumFaultPlan(seed uint64) *FaultPlan {
 func SevereFaultPlan(seed uint64) *FaultPlan {
 	return &FaultPlan{
 		Seed: seed, CrashProb: 0.15, CrashDownMS: 2500,
-		StragglerProb: 0.25, StragglerFactor: 3, TransferFailProb: 0.08,
+		StragglerProb: 0.25, StragglerFactor: 3,
 	}
 }
 
@@ -101,7 +91,7 @@ func SevereFaultPlan(seed uint64) *FaultPlan {
 func CorrelatedFaultPlan(seed uint64, rackSize int) *FaultPlan {
 	return &FaultPlan{
 		Seed: seed, CrashProb: 0.05, CrashDownMS: 2500,
-		StragglerProb: 0.25, StragglerFactor: 3, TransferFailProb: 0.02,
+		StragglerProb: 0.25, StragglerFactor: 3,
 		RackSize: rackSize, RackCrashProb: 0.25,
 	}
 }
@@ -116,25 +106,11 @@ func CascadeFaultPlan(seed uint64, rackSize int) *FaultPlan {
 	return p
 }
 
-func (p *FaultPlan) windowMS() float64 {
-	if p.WindowMS > 0 {
-		return p.WindowMS
-	}
-	return 2000
-}
-
 func (p *FaultPlan) crashDownMS() float64 {
 	if p.CrashDownMS > 0 {
 		return p.CrashDownMS
 	}
 	return 1500
-}
-
-func (p *FaultPlan) detectMS() float64 {
-	if p.DetectMS > 0 {
-		return p.DetectMS
-	}
-	return 50
 }
 
 func (p *FaultPlan) stragglerFactor() float64 {
@@ -148,9 +124,9 @@ func (p *FaultPlan) stragglerFactor() float64 {
 }
 
 // crashAt reports whether instance crashes at the start of window w:
-// its independent draw, then its rack's, then its zone's. The
-// independent draw fires first and uses the exact key it always did, so
-// plans without a topology keep byte-identical fault sequences.
+// its independent draw, then its rack's. The independent draw fires
+// first and uses the exact key it always did, so plans without a
+// topology keep byte-identical fault sequences.
 func (p *FaultPlan) crashAt(instance, w int) bool {
 	if p == nil {
 		return false
@@ -161,15 +137,8 @@ func (p *FaultPlan) crashAt(instance, w int) bool {
 	if p.RackSize <= 0 {
 		return false
 	}
-	rack := instance / p.RackSize
-	if p.RackCrashProb > 0 && faults.Uniform(p.Seed, faults.WindowKey("rackcrash", rack, w)) < p.RackCrashProb {
-		return true
-	}
-	if p.RacksPerZone > 0 && p.ZoneCrashProb > 0 &&
-		faults.Uniform(p.Seed, faults.WindowKey("zonecrash", rack/p.RacksPerZone, w)) < p.ZoneCrashProb {
-		return true
-	}
-	return false
+	return p.RackCrashProb > 0 &&
+		faults.Uniform(p.Seed, faults.WindowKey("rackcrash", instance/p.RackSize, w)) < p.RackCrashProb
 }
 
 // overloadFactor is the cascade multiplier applied to every surviving
@@ -208,13 +177,4 @@ func (p *FaultPlan) slowdownAt(instance, w int) float64 {
 		return p.stragglerFactor()
 	}
 	return 1
-}
-
-// transferFails reports whether the attempt-th shipment of reqID's KV is
-// lost in transit.
-func (p *FaultPlan) transferFails(reqID string, attempt int) bool {
-	if p == nil || p.TransferFailProb <= 0 {
-		return false
-	}
-	return faults.Uniform(p.Seed, fmt.Sprintf("xfer\x00%s\x00%d", reqID, attempt)) < p.TransferFailProb
 }

@@ -1,6 +1,7 @@
 package serving
 
 import (
+	"bytes"
 	"reflect"
 	"sort"
 	"testing"
@@ -17,8 +18,9 @@ import (
 // scheduling policy, with batch preemption when it is not FCFS;
 // OnDemand off or on and chunk 0, 64 or 256; the default or the grid
 // GPU; and up to 80 requests from a shared-prefix trace or the
-// three-tenant spec.
-func fuzzCluster(t *testing.T, data []byte) (ClusterConfig, []workload.Request) {
+// three-tenant spec. It also returns the seed that drew the trace and
+// the fault plan.
+func fuzzCluster(t *testing.T, data []byte) (ClusterConfig, []workload.Request, uint64) {
 	next := func() int {
 		if len(data) == 0 {
 			return 0
@@ -84,18 +86,20 @@ func fuzzCluster(t *testing.T, data []byte) (ClusterConfig, []workload.Request) 
 	case 2:
 		cfg.Admission = AdmissionConfig{Policy: AdmitQueue, BurstTokens: 8000, RefillPerSec: 12000, MaxQueueMS: 1000, Weights: weights}
 	}
-	return cfg, reqs
+	return cfg, reqs, seed
 }
 
 // FuzzRun runs a fuzzed cluster configuration traced, with a decision
 // log, and untraced. The traced run must resolve every request exactly
 // once, leave every instance drained and the sequence pool whole
 // (checkDrained), and pass obs.Check with the log attached; the
-// untraced rerun must give the same results. Its seed corpus is
-// testdata/fuzz/FuzzRun.
+// untraced rerun must give the same results. A configuration without a
+// fault plan runs traced once more with a plan that sets no
+// probability, which must inject nothing: the same results, trace bytes
+// and decisions. Its seed corpus is testdata/fuzz/FuzzRun.
 func FuzzRun(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		cfg, reqs := fuzzCluster(t, data)
+		cfg, reqs, seed := fuzzCluster(t, data)
 		traced := cfg
 		tr, dl := obs.NewTracer(), obs.NewDecisionLog()
 		traced.Opts.Trace, traced.Opts.Decisions = tr, dl
@@ -125,6 +129,32 @@ func FuzzRun(f *testing.F) {
 		}
 		if !reflect.DeepEqual(plain.Results, rep.Results) {
 			t.Fatal("tracing changed the results")
+		}
+		if cfg.Faults == nil {
+			empty := traced
+			empty.Faults = &FaultPlan{Seed: seed}
+			etr, edl := obs.NewTracer(), obs.NewDecisionLog()
+			empty.Opts.Trace, empty.Opts.Decisions = etr, edl
+			erep, err := Run(empty, reqs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(erep.Results, rep.Results) {
+				t.Fatal("an empty fault plan changed the results")
+			}
+			var want, got bytes.Buffer
+			if err := tr.WriteChrome(&want); err != nil {
+				t.Fatal(err)
+			}
+			if err := etr.WriteChrome(&got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatal("an empty fault plan changed the trace")
+			}
+			if !reflect.DeepEqual(edl.Decisions(), dl.Decisions()) {
+				t.Fatal("an empty fault plan changed the decisions")
+			}
 		}
 	})
 }

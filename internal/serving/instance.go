@@ -300,7 +300,7 @@ func (in *instance) admit(now float64, s *seqState) bool {
 					// prefill-token equivalents like every other
 					// transfer in the store.
 					cover = ctx
-					restore = int(float64(ctx) * in.rec.cfg.restoreMSPerToken() * in.gpu.PrefillTokensPerMS)
+					restore = int(float64(ctx) * restoreMSPerToken * in.gpu.PrefillTokensPerMS)
 					resumed = ctx
 				}
 			}
@@ -451,7 +451,7 @@ func (in *instance) step(now float64) {
 				delta += in.rec.save(rs, rs.req.PromptTokens+rs.generated)
 			}
 			if delta > 0 {
-				ckptMS = float64(delta) * in.rec.cfg.ckptMSPerToken()
+				ckptMS = float64(delta) * ckptMSPerToken
 				if in.trace != nil {
 					in.trace.Registry().Counter(in.track+"/ckpt_tokens").Add(now, float64(delta))
 				}

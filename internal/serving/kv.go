@@ -194,54 +194,45 @@ type prefixEntry struct {
 	use    uint64
 }
 
-// PrefixCacheConfig sizes a two-tier prefix cache. The zero value means
-// unbounded single-tier — the legacy behavior of NewPrefixCache.
-type PrefixCacheConfig struct {
-	// GPUCapacityTokens bounds the device-resident tier (0 = unbounded).
-	GPUCapacityTokens int
-	// CPUCapacityTokens sizes the host tier that cold prefixes demote
-	// into instead of being evicted (0 = no host tier: demotion drops).
-	CPUCapacityTokens int
-	// TransferMSPerToken is the CPU→GPU fetch cost charged when a
-	// host-tier hit promotes back to the device.
-	TransferMSPerToken float64
-	// PrefillTokensPerMS converts residual fetch time into prefill-token
-	// equivalents, mirroring SessionStore's transfer pricing.
-	PrefillTokensPerMS float64
-}
-
 // PrefixCache tracks shared prompt prefixes whose KV is resident and
 // reusable across requests — Prompt Cache [22] / vLLM shared prefix /
 // TensorRT-LLM KV reuse [3]. A prefix is warmed by the first request
 // that computes it; later requests skip prefilling those tokens.
 //
-// With a PrefixCacheConfig the cache is two-tier: when the GPU tier
-// overflows, the coldest prefix is *demoted* to a CPU tier rather than
-// forgotten, a CPU hit promotes it back at a bandwidth-charged transfer
-// cost (netted against the saved prefill, like SessionStore), and the
-// CPU tier survives Invalidate — host memory outlives the crash that
-// wiped the device.
+// A tiered cache (RecoveryConfig.PrefixGPUTokens) has two tiers: when
+// the GPU tier overflows, the coldest prefix is *demoted* to a CPU tier
+// rather than forgotten, a CPU hit promotes it back at a
+// bandwidth-charged transfer cost (netted against the saved prefill,
+// like SessionStore), and the CPU tier survives Invalidate — host
+// memory outlives the crash that wiped the device.
 type PrefixCache struct {
-	cfg              PrefixCacheConfig
-	gpu              map[string]*prefixEntry
-	cpu              map[string]*prefixEntry
-	gpuUsed, cpuUsed int // resident tokens per tier
-	clock            uint64
-	hits, misses     int
-	cpuHits          int // hits served from the host tier (promotions)
-	demotions        int // prefixes pushed off the GPU tier by pressure
+	// gpuCap bounds the device-resident tier (0 = unbounded); cpuCap
+	// sizes the host tier that cold prefixes demote into instead of
+	// being evicted (0 = no host tier: demotion drops).
+	gpuCap, cpuCap int
+	// prefillTokensPerMS converts a promotion's fetch time into
+	// prefill-token equivalents, mirroring SessionStore's pricing.
+	prefillTokensPerMS float64
+	gpu                map[string]*prefixEntry
+	cpu                map[string]*prefixEntry
+	gpuUsed, cpuUsed   int // resident tokens per tier
+	clock              uint64
+	hits, misses       int
+	cpuHits            int // hits served from the host tier (promotions)
+	demotions          int // prefixes pushed off the GPU tier by pressure
 }
 
 // NewPrefixCache returns an empty unbounded single-tier cache.
 func NewPrefixCache() *PrefixCache {
-	return NewTieredPrefixCache(PrefixCacheConfig{})
+	return newTieredPrefixCache(0, 0, 0)
 }
 
-// NewTieredPrefixCache returns an empty cache with the given tier
-// geometry.
-func NewTieredPrefixCache(cfg PrefixCacheConfig) *PrefixCache {
+// newTieredPrefixCache returns an empty cache with a GPU tier of
+// gpuCap tokens over a host tier of cpuCap, on a GPU that prefills
+// prefillTokensPerMS.
+func newTieredPrefixCache(gpuCap, cpuCap int, prefillTokensPerMS float64) *PrefixCache {
 	return &PrefixCache{
-		cfg: cfg,
+		gpuCap: gpuCap, cpuCap: cpuCap, prefillTokensPerMS: prefillTokensPerMS,
 		gpu: make(map[string]*prefixEntry),
 		cpu: make(map[string]*prefixEntry),
 	}
@@ -273,7 +264,7 @@ func (pc *PrefixCache) SavedTokens(prefixID string, prefixTokens int) int {
 		delete(pc.cpu, prefixID)
 		pc.cpuUsed -= e.tokens
 		pc.insertGPU(prefixID, e)
-		saved := usable - int(float64(usable)*pc.cfg.TransferMSPerToken*pc.cfg.PrefillTokensPerMS)
+		saved := usable - int(float64(usable)*prefixXferMSPerToken*pc.prefillTokensPerMS)
 		if saved < 0 {
 			saved = 0
 		}
@@ -287,7 +278,7 @@ func (pc *PrefixCache) SavedTokens(prefixID string, prefixTokens int) int {
 // insertGPU places e on the device tier, demoting the coldest residents
 // until it fits. An entry larger than the whole tier is uncacheable.
 func (pc *PrefixCache) insertGPU(id string, e *prefixEntry) {
-	limit := pc.cfg.GPUCapacityTokens
+	limit := pc.gpuCap
 	if limit > 0 && e.tokens > limit {
 		return
 	}
@@ -313,12 +304,12 @@ func (pc *PrefixCache) demote(id string) {
 	delete(pc.gpu, id)
 	pc.gpuUsed -= e.tokens
 	pc.demotions++
-	if pc.cfg.CPUCapacityTokens <= 0 || e.tokens > pc.cfg.CPUCapacityTokens {
+	if pc.cpuCap <= 0 || e.tokens > pc.cpuCap {
 		return
 	}
 	pc.cpu[id] = e
 	pc.cpuUsed += e.tokens
-	for pc.cpuUsed > pc.cfg.CPUCapacityTokens {
+	for pc.cpuUsed > pc.cpuCap {
 		v := coldestPrefix(pc.cpu)
 		ev := pc.cpu[v]
 		delete(pc.cpu, v)

@@ -125,7 +125,7 @@ func (c *cluster) migrate(now float64, from, to int, v *seqState) {
 	// Ship the checkpoint delta (context not yet on the host) plus the
 	// full context over the interconnect.
 	delta := c.rec.save(v, ctx)
-	shipMS := float64(ctx)*c.rec.cfg.migrateMSPerToken() + float64(delta)*c.rec.cfg.ckptMSPerToken()
+	shipMS := float64(ctx)*migrateMSPerToken + float64(delta)*ckptMSPerToken
 	v.admitted = false
 	v.preempted = false
 	v.saved = 0

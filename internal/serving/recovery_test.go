@@ -311,10 +311,7 @@ func TestMigrationDeterministic(t *testing.T) {
 }
 
 func TestTieredPrefixCache(t *testing.T) {
-	pc := NewTieredPrefixCache(PrefixCacheConfig{
-		GPUCapacityTokens: 100, CPUCapacityTokens: 200,
-		TransferMSPerToken: 0.01, PrefillTokensPerMS: 50,
-	})
+	pc := newTieredPrefixCache(100, 200, 100)
 	// Warm three prefixes of 50 tokens; the third overflows the GPU tier
 	// and demotes the coldest (the first).
 	for _, id := range []string{"a", "b", "c"} {
@@ -327,7 +324,8 @@ func TestTieredPrefixCache(t *testing.T) {
 		t.Fatalf("after overflow: %d demotions %d cpu hits, want 1 and 0", demotions, cpuHits)
 	}
 	// Hitting the demoted prefix promotes it back, netting the transfer
-	// cost: 50 - floor(50*0.01*50) = 50 - 25 = 25 tokens saved.
+	// cost at prefixXferMSPerToken on a GPU that prefills 100 tokens/ms:
+	// 50 - floor(50*0.005*100) = 50 - 25 = 25 tokens saved.
 	if got := pc.SavedTokens("a", 50); got != 25 {
 		t.Fatalf("promoted hit saved %d tokens, want 25", got)
 	}
@@ -345,10 +343,7 @@ func TestTieredPrefixCache(t *testing.T) {
 	if got := pc.SavedTokens("a", 50); got != 0 {
 		t.Fatalf("post-crash gpu lookup saved %d, want 0 (tier wiped)", got)
 	}
-	pc2 := NewTieredPrefixCache(PrefixCacheConfig{
-		GPUCapacityTokens: 100, CPUCapacityTokens: 200,
-		TransferMSPerToken: 0.01, PrefillTokensPerMS: 50,
-	})
+	pc2 := newTieredPrefixCache(100, 200, 100)
 	pc2.SavedTokens("x", 80)
 	pc2.SavedTokens("y", 80) // x demoted to CPU
 	pc2.Invalidate()         // y (GPU) gone, x (CPU) survives

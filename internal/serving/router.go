@@ -526,12 +526,7 @@ func runCluster(cfg ClusterConfig, reqs []workload.Request) (*RoutedReport, *clu
 		if rec.PrefixGPUTokens > 0 {
 			// Two-tier prefix cache: cold prefixes demote to a host tier
 			// that survives this instance's crashes.
-			opts.Prefix = NewTieredPrefixCache(PrefixCacheConfig{
-				GPUCapacityTokens:  rec.PrefixGPUTokens,
-				CPUCapacityTokens:  rec.PrefixCPUTokens,
-				TransferMSPerToken: rec.prefixXferMSPerToken(),
-				PrefillTokensPerMS: gpu.PrefillTokensPerMS,
-			})
+			opts.Prefix = newTieredPrefixCache(rec.PrefixGPUTokens, rec.PrefixCPUTokens, gpu.PrefillTokensPerMS)
 		} else {
 			opts.Prefix = NewPrefixCache()
 		}
@@ -596,7 +591,7 @@ func (c *cluster) addInstance(i int, opts ContinuousOpts) {
 		// events it replaces had consecutive seqs at one instant, so
 		// nothing fired between them, and whatever they scheduled fired
 		// after all of them.
-		c.eng.At(now+c.plan.detectMS(), func(t float64) {
+		c.eng.At(now+detectMS, func(t float64) {
 			for _, s := range dropped {
 				c.breakers[i].OnFailure(t)
 				c.traceBreaker(t, i)
@@ -707,7 +702,7 @@ func (c *cluster) scheduleFaults() {
 	plan := c.plan
 	var windowAt func(w int)
 	windowAt = func(w int) {
-		c.eng.At(float64(w)*plan.windowMS(), func(now float64) {
+		c.eng.At(float64(w)*faultWindowMS, func(now float64) {
 			if c.pending == 0 {
 				return // trace fully resolved: stop driving windows
 			}
@@ -722,7 +717,7 @@ func (c *cluster) scheduleFaults() {
 						c.trace.Registry().Counter("router/crashes").Add(now, 1)
 					}
 					in.crash(now)
-					c.eng.At(now+plan.detectMS(), func(t float64) {
+					c.eng.At(now+detectMS, func(t float64) {
 						// Health check: the detector notices the dead
 						// instance even when nothing was in flight.
 						c.breakers[i].OnFailure(t)

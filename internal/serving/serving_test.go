@@ -329,7 +329,7 @@ func TestDisaggregatedImprovesTBTUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	disagg, err := RunDisaggregated(gpu, reqs, DisaggOpts{
-		PrefillGPUs: 2, DecodeGPUs: 2, TransferMSPerToken: 0.005, OverlapTransfer: true,
+		PrefillGPUs: 2, DecodeGPUs: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -348,26 +348,6 @@ func TestDisaggregatedImprovesTBTUnderLoad(t *testing.T) {
 func TestDisaggValidation(t *testing.T) {
 	if _, err := RunDisaggregated(DefaultGPU(), nil, DisaggOpts{}); !errors.Is(err, ErrConfig) {
 		t.Errorf("err = %v", err)
-	}
-}
-
-func TestTransferCostMattersWithoutOverlap(t *testing.T) {
-	gpu := DefaultGPU()
-	reqs := trace(t, 8, 150, 30)
-	overlapped, err := RunDisaggregated(gpu, reqs, DisaggOpts{
-		PrefillGPUs: 1, DecodeGPUs: 1, TransferMSPerToken: 0.05, OverlapTransfer: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	blocking, err := RunDisaggregated(gpu, reqs, DisaggOpts{
-		PrefillGPUs: 1, DecodeGPUs: 1, TransferMSPerToken: 0.05, OverlapTransfer: false,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if blocking.TBT.Mean() <= overlapped.TBT.Mean() {
-		t.Errorf("blocking transfer TBT %v <= overlapped %v", blocking.TBT.Mean(), overlapped.TBT.Mean())
 	}
 }
 
@@ -557,7 +537,7 @@ func BenchmarkRunContinuous(b *testing.B) {
 func BenchmarkRunDisaggregated(b *testing.B) {
 	gpu := DefaultGPU()
 	reqs := trace(b, 1, 500, 50)
-	opts := DisaggOpts{PrefillGPUs: 2, DecodeGPUs: 2, TransferMSPerToken: 0.005, OverlapTransfer: true}
+	opts := DisaggOpts{PrefillGPUs: 2, DecodeGPUs: 2}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := RunDisaggregated(gpu, reqs, opts); err != nil {

@@ -1,6 +1,6 @@
 // Package token provides tokenization primitives shared by every layer of
 // the Data+AI stack: a deterministic word-level tokenizer with a mutable
-// vocabulary, n-gram extraction, and stable 64-bit hashing for shingles.
+// vocabulary, n-gram hashing, and stable 64-bit hashing for shingles.
 //
 // The tokenizer is intentionally simple — lower-cased word and punctuation
 // splitting — because the experiments in this repository measure *systems*
@@ -11,8 +11,6 @@
 package token
 
 import (
-	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"unicode"
@@ -242,19 +240,6 @@ func (v *Vocabulary) Decode(ids []int) string {
 	return Detokenize(toks)
 }
 
-// NGrams returns all contiguous n-grams of toks joined by a single space.
-// It returns nil when len(toks) < n or n <= 0.
-func NGrams(toks []string, n int) []string {
-	if n <= 0 || len(toks) < n {
-		return nil
-	}
-	out := make([]string, 0, len(toks)-n+1)
-	for i := 0; i+n <= len(toks); i++ {
-		out = append(out, strings.Join(toks[i:i+n], " "))
-	}
-	return out
-}
-
 // HashNGrams returns the FNV-1a 64-bit hash of every n-gram of toks,
 // avoiding the string join. Used by dedup (shingling) and SimHash.
 func HashNGrams(toks []string, n int) []uint64 {
@@ -335,42 +320,4 @@ func Frequencies(toks []string) map[string]int {
 		m[t]++
 	}
 	return m
-}
-
-// TopK returns the k most frequent tokens, ties broken lexicographically
-// for determinism.
-func TopK(freq map[string]int, k int) []string {
-	type tf struct {
-		tok string
-		n   int
-	}
-	all := make([]tf, 0, len(freq))
-	for t, n := range freq {
-		all = append(all, tf{t, n})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].n != all[j].n {
-			return all[i].n > all[j].n
-		}
-		return all[i].tok < all[j].tok
-	})
-	if k > len(all) {
-		k = len(all)
-	}
-	out := make([]string, k)
-	for i := 0; i < k; i++ {
-		out[i] = all[i].tok
-	}
-	return out
-}
-
-// Validate reports an error when a token stream contains empty tokens —
-// a guard used by property tests.
-func Validate(toks []string) error {
-	for i, t := range toks {
-		if t == "" {
-			return fmt.Errorf("token: empty token at position %d", i)
-		}
-	}
-	return nil
 }

@@ -28,7 +28,7 @@ import (
 // critPathSpeedupShards is total work over the largest contiguous shard
 // (the single-query sharded scan's critical path).
 func critPathSpeedupShards(n, workers int) float64 {
-	chunks := par.Chunks(n, workers)
+	chunks := min(workers, n) // MapChunks' shard count
 	maxShard := 0
 	for c := 0; c < chunks; c++ {
 		lo, hi := par.ChunkBounds(n, chunks, c)

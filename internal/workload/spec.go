@@ -435,19 +435,3 @@ func DefaultMultiTenant(seed int64, count int, ratePerSec float64) WorkloadSpec 
 		},
 	}
 }
-
-// Tenants lists the distinct non-empty tenant IDs in the trace, sorted.
-func Tenants(reqs []Request) []string {
-	seen := map[string]bool{}
-	for _, r := range reqs {
-		if r.Tenant != "" && !seen[r.Tenant] {
-			seen[r.Tenant] = true
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for t := range seen {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
-}

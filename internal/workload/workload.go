@@ -194,12 +194,3 @@ func GenerateConversations(cfg ConversationConfig) ([]Request, error) {
 	sort.SliceStable(reqs, func(i, j int) bool { return reqs[i].ArrivalMS < reqs[j].ArrivalMS })
 	return reqs, nil
 }
-
-// TotalTokens sums prompt and output tokens across the trace.
-func TotalTokens(reqs []Request) (prompt, output int) {
-	for _, r := range reqs {
-		prompt += r.PromptTokens
-		output += r.OutputTokens
-	}
-	return prompt, output
-}

@@ -136,11 +136,3 @@ func TestGenerateConversationsValidation(t *testing.T) {
 		t.Error("zero config accepted")
 	}
 }
-
-func TestTotalTokens(t *testing.T) {
-	reqs := []Request{{PromptTokens: 10, OutputTokens: 5}, {PromptTokens: 3, OutputTokens: 2}}
-	p, o := TotalTokens(reqs)
-	if p != 13 || o != 7 {
-		t.Errorf("totals = %d/%d", p, o)
-	}
-}
