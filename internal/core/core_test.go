@@ -59,7 +59,7 @@ func TestHubCacheStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, _ := h.Client("m")
-	p := llm.GeneratePrompt("hello")
+	p := "hello" // a free-form prompt is a generate task
 	if _, err := c.Complete(llm.Request{Prompt: p}); err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,8 @@
 // Package dataprep implements the Data Preparation stage of Data4LLM
 // (§2.3.2): discovery (domain mixture), selection (coresets, perplexity),
-// cleaning (quality filtering, toxicity filtering, deduplication),
-// augmentation, labeling (weak supervision, active learning), and
-// synthesis. Each sub-area follows the specific techniques the paper
-// cites; see the per-file comments.
+// and cleaning (quality filtering, toxicity filtering, deduplication).
+// Each sub-area follows the specific techniques the paper cites; see the
+// per-file comments.
 package dataprep
 
 import (
@@ -11,7 +10,6 @@ import (
 	"fmt"
 	"strings"
 
-	"dataai/internal/llm/ngram"
 	"dataai/internal/par"
 	"dataai/internal/token"
 )
@@ -108,68 +106,6 @@ func (t ToxicityFilter) Keep(text string) (bool, string) {
 		if strings.Contains(lower, strings.ToLower(w)) {
 			return false, "toxic term: " + w
 		}
-	}
-	return true, ""
-}
-
-// PerplexityFilter rejects documents whose perplexity under a reference
-// language model exceeds a threshold — the metric-based filtering of [39]:
-// text unlike known-good text scores high and is dropped.
-type PerplexityFilter struct {
-	Reference *ngram.Model
-	Threshold float64
-}
-
-// NewPerplexityFilter trains a reference model on seed documents assumed
-// clean and sets the rejection threshold to scale times the mean
-// perplexity of a held-out portion of the seed. Calibrating on held-out
-// seed (not in-sample) matters: a model scores its own training text far
-// below unseen clean text, and an in-sample threshold would reject most
-// clean documents.
-func NewPerplexityFilter(seed []string, scale float64) (*PerplexityFilter, error) {
-	if len(seed) < 2 {
-		return nil, fmt.Errorf("dataprep: perplexity filter needs >= 2 seed docs: %w", ErrNoDocs)
-	}
-	calib := len(seed) / 5
-	if calib < 1 {
-		calib = 1
-	}
-	train, holdout := seed[calib:], seed[:calib]
-	m := ngram.New()
-	m.TrainAll(train)
-	var sum float64
-	n := 0
-	for _, s := range holdout {
-		pp, err := m.Perplexity(s)
-		if err != nil {
-			continue
-		}
-		sum += pp
-		n++
-	}
-	if n == 0 {
-		return nil, fmt.Errorf("dataprep: seed documents all empty")
-	}
-	if scale <= 0 {
-		scale = 3
-	}
-	// Fold the held-out docs into the final reference model so no seed
-	// data is wasted at filter time.
-	m.TrainAll(holdout)
-	return &PerplexityFilter{Reference: m, Threshold: scale * sum / float64(n)}, nil
-}
-
-// Name implements Filter.
-func (p *PerplexityFilter) Name() string { return "perplexity" }
-
-// Keep implements Filter.
-func (p *PerplexityFilter) Keep(text string) (bool, string) {
-	pp, err := p.Reference.Perplexity(text)
-	if err != nil {
-		return false, "empty document"
-	}
-	if pp > p.Threshold {
-		return false, fmt.Sprintf("perplexity %.1f > %.1f", pp, p.Threshold)
 	}
 	return true, ""
 }

@@ -55,50 +55,6 @@ func TestToxicityFilter(t *testing.T) {
 	}
 }
 
-func TestPerplexityFilterSeparatesGibberish(t *testing.T) {
-	c := testCorpus(t, 41)
-	var clean, noisy []string
-	for _, d := range c.Docs {
-		switch d.Kind {
-		case corpus.Clean:
-			clean = append(clean, d.Text)
-		case corpus.Noisy:
-			noisy = append(noisy, d.Text)
-		}
-	}
-	f, err := NewPerplexityFilter(clean[:100], 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	keptClean := 0
-	for _, d := range clean[100:150] {
-		if ok, _ := f.Keep(d); ok {
-			keptClean++
-		}
-	}
-	droppedNoisy := 0
-	for _, d := range noisy {
-		if ok, _ := f.Keep(d); !ok {
-			droppedNoisy++
-		}
-	}
-	if frac := float64(keptClean) / 50; frac < 0.8 {
-		t.Errorf("perplexity filter kept only %v of clean docs", frac)
-	}
-	if len(noisy) > 0 && float64(droppedNoisy)/float64(len(noisy)) < 0.8 {
-		t.Errorf("perplexity filter dropped only %d/%d noisy docs", droppedNoisy, len(noisy))
-	}
-}
-
-func TestNewPerplexityFilterValidation(t *testing.T) {
-	if _, err := NewPerplexityFilter(nil, 3); err == nil {
-		t.Error("empty seed accepted")
-	}
-	if _, err := NewPerplexityFilter([]string{""}, 3); err == nil {
-		t.Error("all-empty seed accepted")
-	}
-}
-
 func TestApplyFiltersReport(t *testing.T) {
 	c := testCorpus(t, 43)
 	docs := c.Texts()
@@ -175,7 +131,7 @@ outer:
 
 // TestApplyFiltersMatchesSerial compares the kept texts and the whole
 // FilterReport of applyFilters at 1, 2 and 8 workers with the serial
-// loop, for the package's four filters alone, chained in two orders,
+// loop, for the package's three filters alone, chained in two orders,
 // and for no filter and no document.
 func TestApplyFiltersMatchesSerial(t *testing.T) {
 	c := testCorpus(t, 97)
@@ -189,19 +145,15 @@ func TestApplyFiltersMatchesSerial(t *testing.T) {
 			noisy = append(noisy, d.Text)
 		}
 	}
-	perplexity, err := NewPerplexityFilter(clean[:100], 3)
-	if err != nil {
-		t.Fatal(err)
-	}
 	classifier, err := FitClassifierFilter(embed.NewHashEmbedder(embed.DefaultDim), clean[:60], noisy[:15])
 	if err != nil {
 		t.Fatal(err)
 	}
 	heuristic, toxicity := DefaultHeuristicFilter(), ToxicityFilter{Lexicon: c.ToxicLexicon}
 	chains := [][]Filter{
-		{heuristic}, {toxicity}, {perplexity}, {classifier},
-		{heuristic, toxicity, perplexity, classifier},
-		{classifier, perplexity, toxicity, heuristic},
+		{heuristic}, {toxicity}, {classifier},
+		{heuristic, toxicity, classifier},
+		{classifier, toxicity, heuristic},
 		nil,
 	}
 	for ci, chain := range chains {

@@ -11,8 +11,8 @@ import (
 )
 
 // This file implements the deduplication techniques of §2.3.2 Data
-// Cleaning: exact hashing at line and document level [24, 52], and
-// MinHash with LSH banding plus SimHash for near-duplicates [29, 46].
+// Cleaning: exact document hashing [24, 52], and MinHash with LSH
+// banding for near-duplicates [29, 46].
 
 // ExactDedup removes documents whose full token stream hashes equal an
 // earlier document's. First occurrence wins; order is preserved.
@@ -34,58 +34,6 @@ func ExactDedup(docs []string) []string {
 // copies hash equal.
 func normalizeForHash(d string) string {
 	return token.Detokenize(token.Tokenize(d))
-}
-
-// LineDedup removes repeated lines across the corpus (the line-level
-// dedup of LLaMA's pipeline [52]): any line previously seen in an earlier
-// document is dropped from later ones. Documents reduced to nothing are
-// removed entirely.
-func LineDedup(docs []string) []string {
-	seen := make(map[uint64]bool)
-	out := make([]string, 0, len(docs))
-	for _, d := range docs {
-		var keptLines []string
-		for _, line := range splitLines(d) {
-			h := token.Hash64(normalizeForHash(line))
-			if seen[h] {
-				continue
-			}
-			seen[h] = true
-			keptLines = append(keptLines, line)
-		}
-		if len(keptLines) > 0 {
-			out = append(out, joinLines(keptLines))
-		}
-	}
-	return out
-}
-
-func splitLines(d string) []string {
-	var out []string
-	start := 0
-	for i := 0; i < len(d); i++ {
-		if d[i] == '\n' {
-			if s := d[start:i]; s != "" {
-				out = append(out, s)
-			}
-			start = i + 1
-		}
-	}
-	if s := d[start:]; s != "" {
-		out = append(out, s)
-	}
-	return out
-}
-
-func joinLines(lines []string) string {
-	out := ""
-	for i, l := range lines {
-		if i > 0 {
-			out += "\n"
-		}
-		out += l
-	}
-	return out
 }
 
 // MinHasher computes MinHash signatures over token shingles and groups
@@ -304,77 +252,3 @@ type bandHash struct {
 	h   uint64
 	doc int
 }
-
-// SimHash computes a 64-bit locality-sensitive fingerprint over token
-// n-grams; near-duplicate documents differ in few bits.
-func SimHash(text string, shingleSize int) uint64 {
-	toks := token.Tokenize(text)
-	n := shingleSize
-	if n <= 0 {
-		n = 3
-	}
-	if len(toks) < n {
-		n = 1
-	}
-	var counts [64]int
-	for _, h := range token.HashNGrams(toks, n) {
-		h = mix(h)
-		for b := 0; b < 64; b++ {
-			if h>>uint(b)&1 == 1 {
-				counts[b]++
-			} else {
-				counts[b]--
-			}
-		}
-	}
-	var out uint64
-	for b := 0; b < 64; b++ {
-		if counts[b] > 0 {
-			out |= 1 << uint(b)
-		}
-	}
-	return out
-}
-
-// HammingDistance counts differing bits between two SimHash fingerprints.
-func HammingDistance(a, b uint64) int {
-	x := a ^ b
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
-}
-
-// SimHashDedup removes documents within maxDistance Hamming bits of an
-// earlier document. O(n²) comparison — suitable for the corpus sizes the
-// experiments use; MinHash LSH is the scalable path.
-func SimHashDedup(docs []string, shingleSize, maxDistance int) []string {
-	var keptHashes []uint64
-	var out []string
-	for _, d := range docs {
-		h := SimHash(d, shingleSize)
-		dup := false
-		for _, kh := range keptHashes {
-			if HammingDistance(h, kh) <= maxDistance {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			keptHashes = append(keptHashes, h)
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
-// DedupReport compares document counts before/after for experiment
-// tables.
-type DedupReport struct {
-	Before, After int
-}
-
-// Removed reports how many documents were eliminated.
-func (r DedupReport) Removed() int { return r.Before - r.After }

@@ -55,21 +55,6 @@ func TestExactDedupIdempotent(t *testing.T) {
 	}
 }
 
-func TestLineDedup(t *testing.T) {
-	docs := []string{
-		"unique first\nshared boilerplate line",
-		"unique second\nshared boilerplate line",
-		"shared boilerplate line",
-	}
-	out := LineDedup(docs)
-	if len(out) != 2 {
-		t.Fatalf("got %d docs: %v", len(out), out)
-	}
-	if strings.Contains(out[1], "boilerplate") {
-		t.Errorf("repeated line survived: %q", out[1])
-	}
-}
-
 func TestMinHashEstimatesJaccard(t *testing.T) {
 	m, err := NewMinHasher(128, 16, 3, 42)
 	if err != nil {
@@ -207,32 +192,6 @@ func TestNewMinHasherValidation(t *testing.T) {
 	}
 }
 
-func TestSimHashNearDuplicates(t *testing.T) {
-	base := "the quick brown fox jumps over the lazy dog and keeps running through the field all day"
-	near := strings.Replace(base, "lazy", "sleepy", 1)
-	far := "unrelated discussion of database systems and query optimizers with different vocabulary entirely"
-	dNear := HammingDistance(SimHash(base, 3), SimHash(near, 3))
-	dFar := HammingDistance(SimHash(base, 3), SimHash(far, 3))
-	if dNear >= dFar {
-		t.Errorf("near distance %d >= far distance %d", dNear, dFar)
-	}
-	if HammingDistance(SimHash(base, 3), SimHash(base, 3)) != 0 {
-		t.Error("self distance nonzero")
-	}
-}
-
-func TestSimHashDedup(t *testing.T) {
-	docs := []string{
-		"aaa bbb ccc ddd eee fff ggg hhh",
-		"aaa bbb ccc ddd eee fff ggg xxx", // near dup
-		"totally different words in here now",
-	}
-	out := SimHashDedup(docs, 2, 12)
-	if len(out) != 2 {
-		t.Errorf("got %d docs: %v", len(out), out)
-	}
-}
-
 func TestDedupImprovesModelPerTrainingToken(t *testing.T) {
 	// The [29] claim: deduplicating training data makes LMs better for a
 	// matched training budget.
@@ -288,18 +247,6 @@ func TestDedupImprovesModelPerTrainingToken(t *testing.T) {
 	ppDeduped := trainAndScore(t, deduped[:budget], heldOut)
 	if ppDeduped >= ppRaw {
 		t.Errorf("deduped ppl %v >= raw %v at matched budget %d", ppDeduped, ppRaw, budget)
-	}
-}
-
-func TestHammingDistance(t *testing.T) {
-	if HammingDistance(0, 0) != 0 {
-		t.Error("0,0")
-	}
-	if HammingDistance(0, ^uint64(0)) != 64 {
-		t.Error("all bits")
-	}
-	if HammingDistance(0b1010, 0b0110) != 2 {
-		t.Error("2 bits")
 	}
 }
 

@@ -181,17 +181,6 @@ func (s *Store) AddDocument(doc Document, chunker Chunker) ([]Chunk, error) {
 	return out, nil
 }
 
-// Document returns the stored document with the given id.
-func (s *Store) Document(id string) (Document, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	d, ok := s.docs[id]
-	if !ok {
-		return Document{}, fmt.Errorf("%w: document %q", ErrNotFound, id)
-	}
-	return d, nil
-}
-
 // Chunk returns the chunk with the given id.
 func (s *Store) Chunk(id string) (Chunk, error) {
 	s.mu.RLock()
@@ -211,20 +200,6 @@ func (s *Store) Chunks() []Chunk {
 	for _, id := range s.order {
 		out = append(out, s.chunks[id])
 	}
-	return out
-}
-
-// DocChunks returns the chunks of one document in sequence order.
-func (s *Store) DocChunks(docID string) []Chunk {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var out []Chunk
-	for _, c := range s.chunks {
-		if c.DocID == docID {
-			out = append(out, c)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out
 }
 

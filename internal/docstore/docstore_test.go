@@ -144,10 +144,6 @@ func TestStoreAddAndLookup(t *testing.T) {
 	if chunks[0].ID != "d1#0" || chunks[1].Seq != 1 {
 		t.Errorf("chunk identity wrong: %+v", chunks)
 	}
-	d, err := s.Document("d1")
-	if err != nil || d.Text == "" {
-		t.Fatalf("Document: %v", err)
-	}
 	c, err := s.Chunk("d1#1")
 	if err != nil || c.DocID != "d1" {
 		t.Fatalf("Chunk: %v %+v", err, c)
@@ -168,28 +164,8 @@ func TestStoreErrors(t *testing.T) {
 	if _, err := s.AddDocument(Document{ID: "x", Text: "t"}, FixedChunker{Size: 4}); err == nil {
 		t.Error("duplicate id accepted")
 	}
-	if _, err := s.Document("nope"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("Document err = %v", err)
-	}
 	if _, err := s.Chunk("nope"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("Chunk err = %v", err)
-	}
-}
-
-func TestDocChunksOrdered(t *testing.T) {
-	s := NewStore()
-	text := strings.Repeat("word ", 50)
-	if _, err := s.AddDocument(Document{ID: "d", Text: text}, FixedChunker{Size: 10}); err != nil {
-		t.Fatal(err)
-	}
-	chunks := s.DocChunks("d")
-	if len(chunks) != 5 {
-		t.Fatalf("got %d chunks", len(chunks))
-	}
-	for i, c := range chunks {
-		if c.Seq != i {
-			t.Errorf("chunk %d has Seq %d", i, c.Seq)
-		}
 	}
 }
 
@@ -228,9 +204,6 @@ func TestRemoveDocument(t *testing.T) {
 	}
 	if s.Len() != 1 || s.ChunkCount() != 1 {
 		t.Errorf("Len=%d ChunkCount=%d", s.Len(), s.ChunkCount())
-	}
-	if _, err := s.Document("a"); !errors.Is(err, ErrNotFound) {
-		t.Error("removed document still present")
 	}
 	all := s.Chunks()
 	if len(all) != 1 || all[0].DocID != "b" {

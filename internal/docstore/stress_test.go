@@ -34,20 +34,14 @@ func TestStoreParallel(t *testing.T) {
 				default:
 				}
 				id := fmt.Sprintf("doc-w%d-%d", r%writers, i%perW)
-				if d, err := s.Document(id); err == nil {
-					if d.ID != id {
-						t.Errorf("Document(%q) returned id %q", id, d.ID)
+				if c, err := s.Chunk(id + "#0"); err == nil {
+					if c.DocID != id {
+						t.Errorf("Chunk(%q#0) returned a chunk of %q", id, c.DocID)
 						return
 					}
 				} else if !errors.Is(err, ErrNotFound) {
-					t.Errorf("Document(%q): %v", id, err)
+					t.Errorf("Chunk(%q#0): %v", id, err)
 					return
-				}
-				for _, c := range s.DocChunks(id) {
-					if c.DocID != id {
-						t.Errorf("DocChunks(%q) returned chunk of %q", id, c.DocID)
-						return
-					}
 				}
 				s.Chunks()
 				s.Len()
@@ -93,11 +87,12 @@ func TestStoreParallel(t *testing.T) {
 	if got := s.Len(); got != wantDocs {
 		t.Fatalf("Len = %d, want %d", got, wantDocs)
 	}
-	// Every surviving chunk must belong to a surviving document and be
-	// retrievable by id.
+	// Every surviving chunk must belong to a surviving document (writers
+	// removed every fourth) and be retrievable by id.
 	for _, c := range s.Chunks() {
-		if _, err := s.Document(c.DocID); err != nil {
-			t.Fatalf("chunk %q orphaned: %v", c.ID, err)
+		var w, i int
+		if _, err := fmt.Sscanf(c.DocID, "doc-w%d-%d", &w, &i); err != nil || i%4 == 0 {
+			t.Fatalf("chunk %q orphaned (document %q removed or unknown)", c.ID, c.DocID)
 		}
 		if _, err := s.Chunk(c.ID); err != nil {
 			t.Fatalf("Chunk(%q): %v", c.ID, err)

@@ -40,17 +40,12 @@ type Results struct {
 	Degraded int
 }
 
-// Extractor turns a record set into attribute values.
-type Extractor interface {
-	Extract(rs *corpus.RecordSet) (*Results, error)
-}
-
 // Direct extracts every (record, attribute) pair with one LLM call.
 type Direct struct {
 	Client llm.Client
 }
 
-// Extract implements Extractor.
+// Extract returns the value of every attribute of every record.
 func (d Direct) Extract(rs *corpus.RecordSet) (*Results, error) {
 	if len(rs.Records) == 0 {
 		return nil, ErrNoRecords
@@ -134,7 +129,7 @@ type Evaporate struct {
 // on the labeled sample.
 const minAccuracy = 0.3
 
-// Extract implements Extractor.
+// Extract returns the value of every attribute of every record.
 func (e Evaporate) Extract(rs *corpus.RecordSet) (*Results, error) {
 	if len(rs.Records) == 0 {
 		return nil, ErrNoRecords
@@ -264,30 +259,4 @@ func Accuracy(rs *corpus.RecordSet, res *Results) float64 {
 		return 0
 	}
 	return float64(right) / float64(total)
-}
-
-// ToTable materializes extraction results as a relational table with an
-// "id" column plus one string column per attribute — the preprocessing
-// step that lets extracted schemas serve SQL/NL queries (§2.2.2).
-func ToTable(rs *corpus.RecordSet, res *Results) (*Table, error) {
-	cols := append([]string{"id"}, rs.Attributes...)
-	t := &Table{Columns: cols}
-	for _, rec := range rs.Records {
-		row := make([]string, len(cols))
-		row[0] = rec.ID
-		for i, attr := range rs.Attributes {
-			row[i+1] = res.Values[rec.ID][attr]
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t, nil
-}
-
-// Table is a simple string-typed materialization of extraction output.
-// Callers needing typed relational processing convert via
-// relation.NewTable; keeping this intermediate form avoids a hard
-// dependency direction between extract and relation.
-type Table struct {
-	Columns []string
-	Rows    [][]string
 }

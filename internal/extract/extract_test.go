@@ -139,27 +139,6 @@ func TestWeakFunctionDownweighted(t *testing.T) {
 	}
 }
 
-func TestToTable(t *testing.T) {
-	rs := records(t, 10, 0)
-	res, err := Direct{Client: perfectClient(7)}.Extract(rs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl, err := ToTable(rs, res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Columns) != len(attrs)+1 {
-		t.Errorf("columns = %v", tbl.Columns)
-	}
-	if len(tbl.Rows) != 10 {
-		t.Errorf("rows = %d", len(tbl.Rows))
-	}
-	if tbl.Rows[0][0] != rs.Records[0].ID {
-		t.Errorf("id column = %v", tbl.Rows[0][0])
-	}
-}
-
 func TestArgmaxVoteDeterministic(t *testing.T) {
 	v := map[string]float64{"b": 1, "a": 1}
 	if got := argmaxVote(v); got != "a" {

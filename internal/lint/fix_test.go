@@ -30,7 +30,7 @@ func Sub(a int) int {
 	})
 
 	audit := func() []lint.Diagnostic {
-		pkgs, err := lint.Load(dir, "./...")
+		pkgs, _, err := lint.LoadWithReport(dir, "./...")
 		if err != nil {
 			t.Fatalf("Load: %v", err)
 		}
@@ -100,7 +100,7 @@ func (p *Probe) Count() int {
 	})
 
 	run := func() []lint.Diagnostic {
-		pkgs, err := lint.Load(dir, "./...")
+		pkgs, _, err := lint.LoadWithReport(dir, "./...")
 		if err != nil {
 			t.Fatalf("Load: %v", err)
 		}

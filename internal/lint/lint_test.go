@@ -127,7 +127,7 @@ func runFixture(t *testing.T, fixtureDir, analyzerName, importPath string) {
 // ordering work exactly as they do on the real repo.
 func loadModuleFixture(t *testing.T, fixtureDir string) []*lint.Package {
 	t.Helper()
-	pkgs, err := lint.Load(filepath.Join("testdata", "src", fixtureDir), "./...")
+	pkgs, _, err := lint.LoadWithReport(filepath.Join("testdata", "src", fixtureDir), "./...")
 	if err != nil {
 		t.Fatalf("load fixture module %s: %v", fixtureDir, err)
 	}
@@ -343,7 +343,7 @@ func TestSuiteRegistered(t *testing.T) {
 // TestLoadModule exercises the module loader on the real repo: it must
 // find this very package and resolve its imports.
 func TestLoadModule(t *testing.T) {
-	pkgs, err := lint.Load(".", "./...")
+	pkgs, _, err := lint.LoadWithReport(".", "./...")
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -357,7 +357,7 @@ func TestLoadModule(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Fatal("Load(./...) from internal/lint did not find dataai/internal/lint")
+		t.Fatal("LoadWithReport(./...) from internal/lint did not find dataai/internal/lint")
 	}
 }
 

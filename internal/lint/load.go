@@ -58,8 +58,9 @@ type LoadReport struct {
 	SkippedFiles []SkippedFile
 }
 
-// Load parses and type-checks the packages matched by patterns, rooted at
-// the module containing dir. Patterns follow go tooling conventions: a
+// LoadWithReport parses and type-checks the packages matched by
+// patterns, rooted at the module containing dir, and accounts for what
+// it skipped and why. Patterns follow go tooling conventions: a
 // relative directory ("./internal/vecdb") names one package, and a
 // "/..." suffix matches the tree below it. Test files (_test.go),
 // testdata directories, and dot/underscore-prefixed entries are skipped,
@@ -70,12 +71,6 @@ type LoadReport struct {
 // Type checking resolves module-local imports by recursively loading
 // sibling packages, and standard-library imports from GOROOT source —
 // no compiled export data, no network, no external deps.
-func Load(dir string, patterns ...string) ([]*Package, error) {
-	pkgs, _, err := LoadWithReport(dir, patterns...)
-	return pkgs, err
-}
-
-// LoadWithReport is Load plus an accounting of what was skipped and why.
 func LoadWithReport(dir string, patterns ...string) ([]*Package, *LoadReport, error) {
 	root, modPath, err := findModule(dir)
 	if err != nil {

@@ -7,7 +7,7 @@ import (
 )
 
 // The parcapture analyzer guards the contract internal/par is built on:
-// closures handed to par.Map/MapChunks/ForEach/Reduce run concurrently,
+// closures handed to par.Map/MapChunks/ForEach run concurrently,
 // and the *only* deterministic ways out of them are the return value
 // (committed by slot) and writes to disjoint, index-addressed slots. A
 // closure that instead mutates a captured variable — `sum += x`,
@@ -33,7 +33,7 @@ import (
 func init() {
 	Register(&Analyzer{
 		Name: "parcapture",
-		Doc:  "unsynchronized writes to captured variables in closures passed to par.Map/MapChunks/ForEach/Reduce",
+		Doc:  "unsynchronized writes to captured variables in closures passed to par.Map/MapChunks/ForEach",
 		Run:  runParCapture,
 	})
 }
@@ -41,7 +41,7 @@ func init() {
 // parEntryPoints are the internal/par functions that run their closure
 // arguments concurrently.
 var parEntryPoints = map[string]bool{
-	"Map": true, "MapChunks": true, "ForEach": true, "Reduce": true,
+	"Map": true, "MapChunks": true, "ForEach": true,
 }
 
 // isParPackage matches the real package and fixture stand-ins.

@@ -23,13 +23,3 @@ func ForEach(n, workers int, fn func(i int)) {
 func MapChunks[T any](n, workers int, fn func(chunk, lo, hi int) T) []T {
 	return []T{fn(0, 0, n)}
 }
-
-// Reduce folds MapChunks partials in shard order.
-func Reduce[T any](n, workers int, shardFn func(shard, lo, hi int) T, merge func(acc, part T) T) T {
-	parts := MapChunks(n, workers, shardFn)
-	acc := parts[0]
-	for _, p := range parts[1:] {
-		acc = merge(acc, p)
-	}
-	return acc
-}

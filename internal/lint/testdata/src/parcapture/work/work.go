@@ -39,13 +39,14 @@ func BadMapWrite(xs []int) map[int]int {
 	return m
 }
 
-// BadCount uses ++ on a captured counter inside a Reduce shard.
+// BadCount uses ++ on a captured counter inside a MapChunks chunk.
 func BadCount(xs []int) int {
 	seen := 0
-	return par.Reduce(len(xs), 4, func(_, lo, hi int) int {
-		seen++ // want `closure passed to par\.Reduce writes captured "seen" without synchronization`
+	_ = par.MapChunks(len(xs), 4, func(_, lo, hi int) int {
+		seen++ // want `closure passed to par\.MapChunks writes captured "seen" without synchronization`
 		return hi - lo
-	}, func(acc, part int) int { return acc + part })
+	})
+	return seen
 }
 
 // GoodSlots writes disjoint per-index slots: deterministic by

@@ -459,7 +459,7 @@ func TestSimulatorModelAndCacheUsage(t *testing.T) {
 		t.Errorf("Model = %+v", s.Model())
 	}
 	c := NewCache(s)
-	p := GeneratePrompt("usage check")
+	p := "usage check" // a free-form prompt is a generate task
 	if _, err := c.Complete(Request{Prompt: p}); err != nil {
 		t.Fatal(err)
 	}

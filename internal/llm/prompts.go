@@ -80,11 +80,6 @@ func ClassifyPromptFewShot(labels []string, examples []Example, text string) str
 	return b.String()
 }
 
-// GeneratePrompt builds a free-form generation prompt.
-func GeneratePrompt(instruction string) string {
-	return "TASK: generate\nPROMPT: " + instruction
-}
-
 // IsYes interprets a judge response.
 func IsYes(text string) bool { return strings.EqualFold(strings.TrimSpace(text), "yes") }
 

@@ -18,7 +18,7 @@ const (
 // Chrome-trace event's "args" object, rendered key-sorted so trace
 // bytes stay a pure function of the recorded data; the key "reason"
 // is reserved for the terminal annotation set by EndReason. Construct
-// with F, I, or S.
+// with I or S; a float attribute is a literal of Kind AttrFloat.
 type Attr struct {
 	Key  string
 	Kind AttrKind
@@ -28,9 +28,6 @@ type Attr struct {
 	Int int64
 	Str string
 }
-
-// F builds a float-valued attribute.
-func F(key string, v float64) Attr { return Attr{Key: key, Kind: AttrFloat, Num: v} }
 
 // I builds an integer-valued attribute.
 func I(key string, v int64) Attr { return Attr{Key: key, Kind: AttrInt, Int: v} }

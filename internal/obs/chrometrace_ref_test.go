@@ -184,7 +184,7 @@ func adversarialTracer() *Tracer {
 	weird := tr.Begin(1, `trk "q"<&>`, CatGPU, "a\\b\tc\u2028d£", 0)
 	tr.EndReason(1, weird, "cause: <oom> & \"retry\"")
 
-	g1 := tr.Begin(0.1, "gpu0", CatGPU, "prefill", 0, F("load", 1.0/3.0), S("note", "a<b"))
+	g1 := tr.Begin(0.1, "gpu0", CatGPU, "prefill", 0, Attr{Key: "load", Kind: AttrFloat, Num: 1.0 / 3.0}, S("note", "a<b"))
 	tr.EndReason(0.30000000000000004, g1, "crash")
 	tr.Instant(0.1, "gpu0", "crash")
 	tr.Instant(0.1, "gpu0", "preempt", I("victim", -3), S("why", `x"y`))
@@ -279,7 +279,7 @@ func randomTracer(seed int64, n int) *Tracer {
 			k := keys[rng.Intn(len(keys))]
 			switch rng.Intn(3) {
 			case 0:
-				out = append(out, F(k, value()))
+				out = append(out, Attr{Key: k, Kind: AttrFloat, Num: value()})
 			case 1:
 				out = append(out, I(k, rng.Int63n(1<<40)-1<<39))
 			default:

@@ -16,7 +16,7 @@ func TestAttrEncoding(t *testing.T) {
 	tr.SpanAttrs(q, I("decision", 7))
 	tr.End(3, q)
 	tr.EndReason(3, root, "finish")
-	x := tr.Begin(1, "gpu0", CatGPU, "iter", 0, F("load", 1.5), S("mode", "mixed"))
+	x := tr.Begin(1, "gpu0", CatGPU, "iter", 0, Attr{Key: "load", Kind: AttrFloat, Num: 1.5}, S("mode", "mixed"))
 	tr.EndReason(2, x, "crash")
 	tr.Instant(2.5, "router", "reroute", I("from", 0), I("to", 1))
 

@@ -1,7 +1,6 @@
 // Package par provides the deterministic parallel execution primitives
-// the hot paths of this repository fan out on: an ordered-commit Map, a
-// contiguous-chunk MapChunks, and a sharded Reduce whose merge order is
-// fixed by shard index.
+// the hot paths of this repository fan out on: an ordered-commit Map and
+// a contiguous-chunk MapChunks.
 //
 // The repository's determinism contract (EXPERIMENTS.md, the benchall
 // golden output, the nondeterminism analyzer in internal/lint) requires
@@ -19,17 +18,10 @@
 //     and returns the per-chunk results in chunk order. Chunk-local
 //     work observes items in the same relative order as a serial scan.
 //
-//   - Reduce(n, workers, shardFn, merge) folds the MapChunks partials
-//     left-to-right in shard-index order, so floating-point
-//     accumulation and top-k tie-breaking associate exactly the same
-//     way on every run at a given worker count, and callers that need
-//     bit-equality with a serial loop can use order-insensitive merges
-//     (integer sums, total-order selections).
-//
 // # Who runs a fan-out
 //
 // A fan-out publishes its indices (Map's dispatch chunks, MapChunks'
-// and Reduce's shards) as one task and claims them, one at a time and
+// chunks) as one task and claims them, one at a time and
 // in index order, on the calling goroutine. The package's helpers claim
 // from the same task: a pool of GOMAXPROCS−1 goroutines, started on the
 // first fan-out that could seat one and grown if GOMAXPROCS rises. No
@@ -369,27 +361,4 @@ func MapChunks[T any](n, workers int, fn func(chunk, lo, hi int) T) []T {
 		out[c] = fn(c, lo, hi)
 	})
 	return out
-}
-
-// Reduce computes per-shard partials in parallel with MapChunks and
-// folds them left-to-right in shard-index order:
-//
-//	acc = merge(merge(part[0], part[1]), part[2]) ...
-//
-// The merge order is fixed by shard index — never by completion order —
-// so floating-point accumulation associates identically on every run
-// for a given (n, workers), and merges that are order-insensitive
-// (integer sums, total-order top-k selection) match the serial loop
-// bit-for-bit at every worker count. n == 0 returns the zero value.
-func Reduce[T any](n, workers int, shardFn func(shard, lo, hi int) T, merge func(acc, part T) T) T {
-	var acc T
-	parts := MapChunks(n, workers, shardFn)
-	for i, p := range parts {
-		if i == 0 {
-			acc = p
-			continue
-		}
-		acc = merge(acc, p)
-	}
-	return acc
 }

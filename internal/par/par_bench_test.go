@@ -27,31 +27,6 @@ func BenchmarkParMapOverhead(b *testing.B) {
 	}
 }
 
-// BenchmarkParReduceSum measures the sharded-reduce helper on an
-// integer-sum workload, the shape vecdb's DistComps accounting uses.
-func BenchmarkParReduceSum(b *testing.B) {
-	const n = 1 << 16
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("w%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				got := Reduce(n, workers,
-					func(_, lo, hi int) uint64 {
-						var s uint64
-						for j := lo; j < hi; j++ {
-							s += uint64(j)
-						}
-						return s
-					},
-					func(acc, part uint64) uint64 { return acc + part })
-				if got != uint64(n)*uint64(n-1)/2 {
-					b.Fatal("bad sum")
-				}
-			}
-		})
-	}
-}
-
 // handoffItems are the work sizes BenchmarkParHandoff fans out: about 20
 // and 50 µs of handoffWork on one core of a 2-vCPU Xeon (1.7 ns an item).
 var handoffItems = []struct {
@@ -77,12 +52,12 @@ func handoffWork(lo, hi int) uint64 {
 
 // BenchmarkParHandoff measures what a fan-out costs against the work it
 // splits: each iteration runs the same handoffWork once serially and
-// once as a 2-worker Reduce, alternating which goes first, so the
+// once as a 2-worker MapChunks summed in chunk order, alternating which
+// goes first, so the
 // host's speed drift hits both sides alike and the serial call is the
 // gap a hot loop leaves between fan-outs. It reports each side's median
 // per call and the share of iterations the 2-worker call won.
 func BenchmarkParHandoff(b *testing.B) {
-	sum := func(acc, part uint64) uint64 { return acc + part }
 	for _, tc := range handoffItems {
 		b.Run(tc.name, func(b *testing.B) {
 			want := handoffWork(0, tc.items)
@@ -93,7 +68,10 @@ func BenchmarkParHandoff(b *testing.B) {
 				for j := 0; j < 2; j++ {
 					w := 1 + (i+j)%2
 					start := time.Now()
-					got := Reduce(tc.items, w, func(_, lo, hi int) uint64 { return handoffWork(lo, hi) }, sum)
+					var got uint64
+					for _, part := range MapChunks(tc.items, w, func(_, lo, hi int) uint64 { return handoffWork(lo, hi) }) {
+						got += part
+					}
 					times[w-1][i] = float64(time.Since(start).Nanoseconds()) / 1e3
 					if got != want {
 						b.Fatalf("w%d: sum %d, want %d", w, got, want)

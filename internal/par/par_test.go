@@ -94,54 +94,6 @@ func TestMapChunksOrderAndCoverage(t *testing.T) {
 	}
 }
 
-// TestReduceMergeOrderFixedByShard verifies the fold happens in shard
-// index order: a string concatenation (order-sensitive merge) must come
-// out in chunk order at every worker count.
-func TestReduceMergeOrderFixedByShard(t *testing.T) {
-	items := []string{"a", "b", "c", "d", "e", "f", "g"}
-	for _, workers := range []int{1, 2, 3, 7, 16} {
-		got := Reduce(len(items), workers,
-			func(_, lo, hi int) string { return strings.Join(items[lo:hi], "") },
-			func(acc, part string) string { return acc + part })
-		if got != "abcdefg" {
-			t.Fatalf("workers=%d: Reduce = %q, want %q", workers, got, "abcdefg")
-		}
-	}
-}
-
-// TestReduceIntegerSumMatchesSerial: integer sums are order-insensitive,
-// so the parallel reduction equals the serial loop exactly — the
-// property vecdb's DistComps accounting relies on.
-func TestReduceIntegerSumMatchesSerial(t *testing.T) {
-	want := uint64(0)
-	for i := 0; i < 1000; i++ {
-		want += uint64(i * i)
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		got := Reduce(1000, workers,
-			func(_, lo, hi int) uint64 {
-				var s uint64
-				for i := lo; i < hi; i++ {
-					s += uint64(i * i)
-				}
-				return s
-			},
-			func(acc, part uint64) uint64 { return acc + part })
-		if got != want {
-			t.Fatalf("workers=%d: sum = %d, want %d", workers, got, want)
-		}
-	}
-}
-
-func TestReduceEmpty(t *testing.T) {
-	got := Reduce(0, 4,
-		func(_, _, _ int) int { t.Error("shardFn called for n=0"); return 1 },
-		func(acc, part int) int { return acc + part })
-	if got != 0 {
-		t.Fatalf("Reduce(0) = %d, want zero value", got)
-	}
-}
-
 func TestForEach(t *testing.T) {
 	var sum atomic.Int64
 	ForEach(100, 4, func(i int) { sum.Add(int64(i)) })
@@ -386,15 +338,17 @@ func TestNestedFanOut(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 8} {
 		got := Map(6, workers, func(a int) [][]int {
 			return Map(5, workers, func(b int) []int {
-				return Reduce(7, workers,
-					func(_, lo, hi int) []int {
-						var out []int
-						for c := lo; c < hi; c++ {
-							out = append(out, leaf(a, b, c))
-						}
-						return out
-					},
-					func(acc, part []int) []int { return append(acc, part...) })
+				var out []int
+				for _, part := range MapChunks(7, workers, func(_, lo, hi int) []int {
+					var out []int
+					for c := lo; c < hi; c++ {
+						out = append(out, leaf(a, b, c))
+					}
+					return out
+				}) {
+					out = append(out, part...)
+				}
+				return out
 			})
 		})
 		if !reflect.DeepEqual(got, want) {

@@ -66,6 +66,3 @@ func (b *Breaker) OnFailure(nowMS float64) {
 		b.openedAtMS = nowMS
 	}
 }
-
-// Stats returns the transition counters.
-func (b *Breaker) Stats() BreakerStats { return b.stats }

@@ -4,9 +4,8 @@
 //
 // A semantic operator is a relational operator whose predicate or
 // projection is evaluated by an LLM: SemFilter keeps rows the model judges
-// to satisfy a natural-language criterion, SemExtract adds a column whose
-// values the model extracts from text, SemJoin matches rows across tables
-// by a model-judged relation, and SemTopK ranks rows by judged relevance.
+// to satisfy a natural-language criterion, and SemExtract adds a column
+// whose values the model extracts from text.
 //
 // Because every semantic evaluation costs an LLM call, plans over these
 // operators are optimized the way the surveyed systems do (experiment E2):
@@ -137,8 +136,6 @@ func textColumn(t *relation.Table, col string) (int, error) {
 // Op is one pipeline step.
 type Op interface {
 	Apply(ex *Executor, t *relation.Table) (*relation.Table, error)
-	// Semantic reports whether the op consumes LLM calls.
-	Semantic() bool
 	// Selectivity estimates the fraction of rows surviving the op,
 	// used by the optimizer. Non-filtering ops return 1.
 	Selectivity() float64
@@ -164,9 +161,6 @@ func (f ClassicalFilter) Apply(_ *Executor, t *relation.Table) (*relation.Table,
 	}
 	return t.Select(func(r relation.Row) bool { return f.Pred(r[idx]) }), nil
 }
-
-// Semantic implements Op.
-func (f ClassicalFilter) Semantic() bool { return false }
 
 // Selectivity implements Op.
 func (f ClassicalFilter) Selectivity() float64 {
@@ -214,9 +208,6 @@ func (f SemFilter) Apply(ex *Executor, t *relation.Table) (*relation.Table, erro
 		return verdict[text]
 	}), nil
 }
-
-// Semantic implements Op.
-func (f SemFilter) Semantic() bool { return true }
 
 // Selectivity implements Op.
 func (f SemFilter) Selectivity() float64 {
@@ -292,9 +283,6 @@ func uniqueTexts(t *relation.Table, idx int) []string {
 	return texts
 }
 
-// Semantic implements Op.
-func (e SemExtract) Semantic() bool { return true }
-
 // Selectivity implements Op.
 func (e SemExtract) Selectivity() float64 { return 1 }
 
@@ -321,9 +309,6 @@ func (p *Pipeline) Run(ex *Executor, t *relation.Table) (*relation.Table, error)
 	}
 	return cur, nil
 }
-
-// Ops returns the pipeline's steps in execution order.
-func (p *Pipeline) Ops() []Op { return p.ops }
 
 // Optimize reorders filters to minimize expected LLM cost: classical
 // filters first (free row reduction), then semantic filters ordered by
@@ -363,111 +348,4 @@ func filterRank(op Op) float64 {
 		drop = 1e-9
 	}
 	return op.CostPerRow() / drop
-}
-
-// SemJoin returns pairs (l, r) where the model judges that l's LeftText
-// satisfies Criterion(r's RightKey value): for each right row, the
-// criterion is "contains:<right key>". Output schema is left columns then
-// right columns (right names prefixed on collision, as relation.Join).
-func SemJoin(ex *Executor, left, right *relation.Table, leftText, rightKey string) (*relation.Table, error) {
-	li, err := textColumn(left, leftText)
-	if err != nil {
-		return nil, err
-	}
-	ri, err := textColumn(right, rightKey)
-	if err != nil {
-		return nil, err
-	}
-	schema := append(relation.Schema{}, left.Schema...)
-	names := map[string]bool{}
-	for _, c := range schema {
-		names[c.Name] = true
-	}
-	for _, c := range right.Schema {
-		name := c.Name
-		if names[name] {
-			name = right.Name + "." + name
-		}
-		names[name] = true
-		schema = append(schema, relation.Column{Name: name, Type: c.Type})
-	}
-	out, err := relation.NewTable(left.Name+"_sem_"+right.Name, schema)
-	if err != nil {
-		return nil, err
-	}
-	type pairKey struct{ l, r string }
-	verdicts := make(map[pairKey]bool)
-	for _, lr := range left.Rows {
-		ltext, _ := lr[li].(string)
-		for _, rr := range right.Rows {
-			rkey, _ := rr[ri].(string)
-			pk := pairKey{ltext, rkey}
-			match, ok := verdicts[pk]
-			if !ok {
-				resp, err := ex.complete(llm.JudgePrompt("contains:"+rkey, ltext))
-				if err != nil {
-					return nil, fmt.Errorf("semop: join: %w", err)
-				}
-				match = llm.IsYes(resp.Text)
-				verdicts[pk] = match
-			}
-			if match {
-				nr := append(append(relation.Row{}, lr...), rr...)
-				if err := out.Insert(nr); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	return out, nil
-}
-
-// SemTopK returns the k rows whose TextCol the model judges to satisfy
-// criterion with the highest confidence. Rows judged "no" rank below all
-// "yes" rows regardless of confidence.
-func SemTopK(ex *Executor, t *relation.Table, textCol, criterion string, k int) (*relation.Table, error) {
-	idx, err := textColumn(t, textCol)
-	if err != nil {
-		return nil, err
-	}
-	type scored struct {
-		row   relation.Row
-		yes   bool
-		conf  float64
-		order int
-	}
-	items := make([]scored, 0, len(t.Rows))
-	for i, r := range t.Rows {
-		text, _ := r[idx].(string)
-		resp, err := ex.complete(llm.JudgePrompt(criterion, text))
-		if err != nil {
-			return nil, fmt.Errorf("semop: topk: %w", err)
-		}
-		items = append(items, scored{r, llm.IsYes(resp.Text), resp.Confidence, i})
-	}
-	sort.SliceStable(items, func(i, j int) bool {
-		if items[i].yes != items[j].yes {
-			return items[i].yes
-		}
-		if items[i].conf != items[j].conf {
-			return items[i].conf > items[j].conf
-		}
-		return items[i].order < items[j].order
-	})
-	out := &relation.Table{Name: t.Name, Schema: t.Schema}
-	for i := 0; i < k && i < len(items); i++ {
-		out.Rows = append(out.Rows, items[i].row)
-	}
-	return out, nil
-}
-
-// SemAggCount counts rows whose TextCol satisfies criterion — the
-// "aggregation query" class of §2.2.2, which must consult every row
-// rather than point-looking-up a few.
-func SemAggCount(ex *Executor, t *relation.Table, textCol, criterion string) (int, error) {
-	filtered, err := SemFilter{TextCol: textCol, Criterion: criterion}.Apply(ex, t)
-	if err != nil {
-		return 0, err
-	}
-	return filtered.Len(), nil
 }

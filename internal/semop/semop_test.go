@@ -134,7 +134,7 @@ func TestOptimizePutsClassicalFirst(t *testing.T) {
 	sem := SemFilter{TextCol: "body", Criterion: "contains:merger", EstSelectivity: 0.3}
 	cls := ClassicalFilter{Col: "year", Pred: func(v relation.Value) bool { return true }, EstSelectivity: 0.5}
 	ops := Optimize([]Op{sem, cls})
-	if ops[0].Semantic() {
+	if _, ok := ops[0].(ClassicalFilter); !ok {
 		t.Error("semantic op not moved after classical")
 	}
 }
@@ -183,62 +183,6 @@ func TestOptimizedPlanCheaperSameResult(t *testing.T) {
 	}
 }
 
-func TestSemJoin(t *testing.T) {
-	ex := NewExecutor(perfectClient(7))
-	docs, _ := relation.NewTable("docs", relation.Schema{{Name: "body", Type: relation.String}})
-	docs.MustInsert(relation.Row{"today acme announced a new product"})
-	docs.MustInsert(relation.Row{"bolt shares dropped sharply"})
-	docs.MustInsert(relation.Row{"nothing about any company"})
-	comps, _ := relation.NewTable("comps", relation.Schema{{Name: "name", Type: relation.String}, {Name: "sector", Type: relation.String}})
-	comps.MustInsert(relation.Row{"acme", "tech"})
-	comps.MustInsert(relation.Row{"bolt", "tech"})
-	out, err := SemJoin(ex, docs, comps, "body", "name")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Len() != 2 {
-		t.Errorf("joined rows = %d, want 2", out.Len())
-	}
-	if ex.Calls != 6 {
-		t.Errorf("calls = %d, want 6 (3x2 pairs)", ex.Calls)
-	}
-	if _, err := out.Schema.Index("sector"); err != nil {
-		t.Error("right columns missing from join output")
-	}
-}
-
-func TestSemTopK(t *testing.T) {
-	ex := NewExecutor(perfectClient(8))
-	tbl := docsTable(t, 12)
-	out, err := SemTopK(ex, tbl, "body", "contains:merger", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Len() != 3 {
-		t.Fatalf("rows = %d", out.Len())
-	}
-	// All top rows must actually mention merger (perfect model).
-	for i := 0; i < out.Len(); i++ {
-		body, _ := out.Get(i, "body")
-		id, _ := out.Get(i, "id")
-		if id.(int64)%3 != 0 {
-			t.Errorf("row %d (%v) does not satisfy criterion: %v", i, id, body)
-		}
-	}
-}
-
-func TestSemAggCount(t *testing.T) {
-	ex := NewExecutor(perfectClient(9))
-	tbl := docsTable(t, 30)
-	n, err := SemAggCount(ex, tbl, "body", "contains:merger")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 10 {
-		t.Errorf("count = %d, want 10", n)
-	}
-}
-
 func TestCascadeClientReducesCostInPipeline(t *testing.T) {
 	tbl := docsTable(t, 90)
 	ops := []Op{SemFilter{TextCol: "body", Criterion: "contains:merger", EstSelectivity: 0.33}}
@@ -275,7 +219,7 @@ func BenchmarkSemFilter(b *testing.B) {
 
 func TestOpMetadataAccessors(t *testing.T) {
 	cls := ClassicalFilter{Col: "x", Pred: func(relation.Value) bool { return true }}
-	if cls.Semantic() || cls.CostPerRow() != 0 || cls.Selectivity() != 0.5 {
+	if cls.CostPerRow() != 0 || cls.Selectivity() != 0.5 {
 		t.Error("ClassicalFilter metadata defaults")
 	}
 	cls.EstSelectivity = 2 // out of range -> default
@@ -283,15 +227,11 @@ func TestOpMetadataAccessors(t *testing.T) {
 		t.Error("out-of-range selectivity not defaulted")
 	}
 	sem := SemFilter{TextCol: "t", Criterion: "contains:x"}
-	if !sem.Semantic() || sem.CostPerRow() != 1 || sem.Selectivity() != 0.5 {
+	if sem.CostPerRow() != 1 || sem.Selectivity() != 0.5 {
 		t.Error("SemFilter metadata defaults")
 	}
 	ext := SemExtract{TextCol: "t", Attribute: "a"}
-	if !ext.Semantic() || ext.Selectivity() != 1 || ext.CostPerRow() != 1 {
+	if ext.Selectivity() != 1 || ext.CostPerRow() != 1 {
 		t.Error("SemExtract metadata")
-	}
-	p := NewPipeline(sem, ext)
-	if len(p.Ops()) != 2 {
-		t.Errorf("Ops = %d", len(p.Ops()))
 	}
 }

@@ -55,16 +55,3 @@ func (m DecodeCostModel) GenerateLatencyMS(promptTokens, outputTokens int, kvCac
 	}
 	return total, nil
 }
-
-// Speedup reports cached/uncached latency ratio for a generation shape.
-func (m DecodeCostModel) Speedup(promptTokens, outputTokens int) (float64, error) {
-	with, err := m.GenerateLatencyMS(promptTokens, outputTokens, true)
-	if err != nil {
-		return 0, err
-	}
-	without, err := m.GenerateLatencyMS(promptTokens, outputTokens, false)
-	if err != nil {
-		return 0, err
-	}
-	return without / with, nil
-}

@@ -23,8 +23,6 @@ type KVManager interface {
 	PeakBlocks() int
 	// Capacity is the total block count.
 	Capacity() int
-	// Name identifies the manager in experiment tables.
-	Name() string
 }
 
 // covering returns s grown with zero values until s[h] exists.
@@ -54,9 +52,6 @@ func NewContiguousKV(cfg GPUConfig) *ContiguousKV {
 func (c *ContiguousKV) owns(h int) bool {
 	return h >= 0 && h < len(c.owners) && c.owners[h]
 }
-
-// Name implements KVManager.
-func (c *ContiguousKV) Name() string { return "contiguous" }
 
 // Alloc implements KVManager.
 func (c *ContiguousKV) Alloc(h int, tokens int) bool {
@@ -118,9 +113,6 @@ func (p *PagedKV) blocks(h int) (int, bool) {
 	}
 	return p.held[h] - 1, true
 }
-
-// Name implements KVManager.
-func (p *PagedKV) Name() string { return "paged" }
 
 func (p *PagedKV) blocksFor(tokens int) int {
 	if tokens <= 0 {

@@ -154,50 +154,54 @@ func TestPagedThroughputBeatsContiguous(t *testing.T) {
 
 func TestKVManagerAccounting(t *testing.T) {
 	gpu := DefaultGPU()
-	for _, m := range []KVManager{NewContiguousKV(gpu), NewPagedKV(gpu)} {
+	for _, tc := range []struct {
+		name string
+		m    KVManager
+	}{{"contiguous", NewContiguousKV(gpu)}, {"paged", NewPagedKV(gpu)}} {
+		name, m := tc.name, tc.m
 		if !m.Alloc(3, 100) {
-			t.Fatalf("%s: first alloc failed", m.Name())
+			t.Fatalf("%s: first alloc failed", name)
 		}
 		if m.Alloc(3, 100) {
-			t.Fatalf("%s: duplicate alloc allowed", m.Name())
+			t.Fatalf("%s: duplicate alloc allowed", name)
 		}
 		used := m.UsedBlocks()
 		if used <= 0 || used > m.Capacity() {
-			t.Fatalf("%s: used %d", m.Name(), used)
+			t.Fatalf("%s: used %d", name, used)
 		}
 		// Handles never allocated — below the highest one in use and
 		// past it — hold nothing: Extend refuses, Free changes nothing.
 		for _, h := range []int{0, 2, 4, 1000, -1} {
 			if m.Extend(h, 50) {
-				t.Fatalf("%s: extend of unallocated handle %d allowed", m.Name(), h)
+				t.Fatalf("%s: extend of unallocated handle %d allowed", name, h)
 			}
 			m.Free(h)
 			if m.UsedBlocks() != used {
-				t.Fatalf("%s: free of unallocated handle %d changed used to %d", m.Name(), h, m.UsedBlocks())
+				t.Fatalf("%s: free of unallocated handle %d changed used to %d", name, h, m.UsedBlocks())
 			}
 		}
 		if m.Alloc(-1, 1) {
-			t.Fatalf("%s: negative handle allocated", m.Name())
+			t.Fatalf("%s: negative handle allocated", name)
 		}
 		if !m.Extend(3, 200) {
-			t.Fatalf("%s: extend failed", m.Name())
+			t.Fatalf("%s: extend failed", name)
 		}
 		m.Free(3)
 		if m.UsedBlocks() != 0 {
-			t.Fatalf("%s: leak after free", m.Name())
+			t.Fatalf("%s: leak after free", name)
 		}
 		if m.Extend(3, 200) {
-			t.Fatalf("%s: extend after free allowed", m.Name())
+			t.Fatalf("%s: extend after free allowed", name)
 		}
 		if m.PeakBlocks() < used {
-			t.Fatalf("%s: peak below used", m.Name())
+			t.Fatalf("%s: peak below used", name)
 		}
 		if m.Alloc(7, gpu.MaxSeqLen+1) {
-			t.Fatalf("%s: oversized alloc allowed", m.Name())
+			t.Fatalf("%s: oversized alloc allowed", name)
 		}
 		// A freed handle is reusable.
 		if !m.Alloc(3, 100) || m.UsedBlocks() != used {
-			t.Fatalf("%s: realloc of a freed handle: used %d, want %d", m.Name(), m.UsedBlocks(), used)
+			t.Fatalf("%s: realloc of a freed handle: used %d, want %d", name, m.UsedBlocks(), used)
 		}
 	}
 }
@@ -467,14 +471,18 @@ func TestDecodeCostKVSpeedup(t *testing.T) {
 	// E15: KV caching avoids recomputing K/V per step; the speedup grows
 	// with generation length.
 	m := DefaultDecodeCost()
-	s64, err := m.Speedup(256, 64)
-	if err != nil {
-		t.Fatal(err)
+	speedup := func(prompt, output int) float64 {
+		with, err := m.GenerateLatencyMS(prompt, output, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		without, err := m.GenerateLatencyMS(prompt, output, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return without / with
 	}
-	s256, err := m.Speedup(256, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s64, s256 := speedup(256, 64), speedup(256, 256)
 	if s64 <= 1 {
 		t.Errorf("speedup %v <= 1", s64)
 	}

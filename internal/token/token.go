@@ -19,7 +19,7 @@ import (
 
 // Special token identifiers reserved at the bottom of every Vocabulary.
 const (
-	// UnknownID is returned for tokens not present in a frozen vocabulary.
+	// UnknownID stands for a token the vocabulary does not hold.
 	UnknownID = 0
 	// BOSID marks the beginning of a sequence.
 	BOSID = 1
@@ -141,10 +141,9 @@ func Count(text string) int {
 // value is not usable; construct with NewVocabulary. A Vocabulary is safe
 // for concurrent use.
 type Vocabulary struct {
-	mu     sync.RWMutex
-	ids    map[string]int
-	words  []string
-	frozen bool
+	mu    sync.RWMutex
+	ids   map[string]int
+	words []string
 }
 
 // NewVocabulary returns an empty vocabulary with the reserved special
@@ -170,25 +169,13 @@ func (v *Vocabulary) Size() int {
 	return len(v.words)
 }
 
-// Freeze prevents further growth: unseen tokens map to UnknownID afterwards.
-func (v *Vocabulary) Freeze() {
-	v.mu.Lock()
-	v.frozen = true
-	v.mu.Unlock()
-}
-
-// ID returns the identifier for tok, registering it if the vocabulary is
-// not frozen. Frozen vocabularies return UnknownID for unseen tokens.
+// ID returns the identifier for tok, registering it if it is new.
 func (v *Vocabulary) ID(tok string) int {
 	v.mu.RLock()
 	id, ok := v.ids[tok]
-	frozen := v.frozen
 	v.mu.RUnlock()
 	if ok {
 		return id
-	}
-	if frozen {
-		return UnknownID
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -221,27 +208,8 @@ func (v *Vocabulary) Word(id int) string {
 	return v.words[id]
 }
 
-// Encode tokenizes text and maps each token through the vocabulary.
-func (v *Vocabulary) Encode(text string) []int {
-	toks := Tokenize(text)
-	ids := make([]int, len(toks))
-	for i, t := range toks {
-		ids[i] = v.ID(t)
-	}
-	return ids
-}
-
-// Decode maps ids back to a detokenized string.
-func (v *Vocabulary) Decode(ids []int) string {
-	toks := make([]string, len(ids))
-	for i, id := range ids {
-		toks[i] = v.Word(id)
-	}
-	return Detokenize(toks)
-}
-
 // HashNGrams returns the FNV-1a 64-bit hash of every n-gram of toks,
-// avoiding the string join. Used by dedup (shingling) and SimHash.
+// avoiding the string join. Used by dedup's shingling.
 func HashNGrams(toks []string, n int) []uint64 {
 	if n <= 0 || len(toks) < n {
 		return nil

@@ -108,32 +108,6 @@ func TestVocabularyReserved(t *testing.T) {
 	}
 }
 
-func TestVocabularyFreeze(t *testing.T) {
-	v := NewVocabulary()
-	v.ID("known")
-	v.Freeze()
-	if got := v.ID("unseen"); got != UnknownID {
-		t.Errorf("frozen vocab returned %d for unseen token, want UnknownID", got)
-	}
-	if got := v.ID("known"); got == UnknownID {
-		t.Error("frozen vocab lost a known token")
-	}
-}
-
-func TestVocabularyEncodeDecode(t *testing.T) {
-	v := NewVocabulary()
-	ids := v.Encode("the cat sat on the mat")
-	if len(ids) != 6 {
-		t.Fatalf("Encode len = %d, want 6", len(ids))
-	}
-	if ids[0] != ids[4] {
-		t.Error("repeated word got different ids")
-	}
-	if got := v.Decode(ids); got != "the cat sat on the mat" {
-		t.Errorf("Decode = %q", got)
-	}
-}
-
 func TestVocabularyConcurrent(t *testing.T) {
 	v := NewVocabulary()
 	done := make(chan bool)

@@ -1,17 +1,13 @@
 package training
 
-import (
-	"encoding/gob"
-	"fmt"
-	"io"
-)
+import "fmt"
 
 // Checkpoint materializes a distributed training state: the step it was
 // taken at, the parallel configuration, and one parameter shard per
-// worker. Real systems persist tensors; the simulator persists float32
-// slices, which is enough to verify the round-trip and resharding
-// invariants the paper's checkpointing systems (DCP [51], UCP [33],
-// ByteCheckpoint [56]) are built around.
+// worker. Real systems shard tensors; the simulator shards float32
+// slices, which is enough to verify the resharding invariant the
+// paper's checkpointing systems (DCP [51], UCP [33], ByteCheckpoint
+// [56]) are built around.
 type Checkpoint struct {
 	Step    int
 	Workers int
@@ -89,173 +85,4 @@ func (c *Checkpoint) Validate() error {
 		return fmt.Errorf("%w: empty", ErrCheckpoint)
 	}
 	return nil
-}
-
-// Format enumerates the persistence layouts the paper catalogs:
-// "array-based [1,2,50], file-based [49,56], and disaggregated [51]".
-type Format int
-
-// Supported checkpoint formats.
-const (
-	// ArrayFormat persists the whole state as one array blob (the
-	// TensorStore/Zarr family).
-	ArrayFormat Format = iota
-	// FileFormat persists one record per shard (the safetensors/
-	// ByteCheckpoint family); shards can be loaded independently.
-	FileFormat
-)
-
-// arrayBlob is the ArrayFormat wire form.
-type arrayBlob struct {
-	Step    int
-	Workers int
-	Params  []float32
-}
-
-// fileBlob is the FileFormat wire form: shard records with indexes, so a
-// reader can load any single shard without the rest.
-type fileBlob struct {
-	Step    int
-	Workers int
-	Index   int
-	Shard   []float32
-}
-
-// Save writes the checkpoint to w in the given format.
-func (c *Checkpoint) Save(w io.Writer, f Format) error {
-	if err := c.Validate(); err != nil {
-		return err
-	}
-	enc := gob.NewEncoder(w)
-	switch f {
-	case ArrayFormat:
-		return enc.Encode(arrayBlob{Step: c.Step, Workers: c.Workers, Params: c.Flatten()})
-	case FileFormat:
-		for i, s := range c.Shards {
-			if err := enc.Encode(fileBlob{Step: c.Step, Workers: c.Workers, Index: i, Shard: s}); err != nil {
-				return fmt.Errorf("training: save shard %d: %w", i, err)
-			}
-		}
-		return nil
-	default:
-		return fmt.Errorf("%w: unknown format %d", ErrCheckpoint, int(f))
-	}
-}
-
-// Load reads a checkpoint written by Save in the given format.
-func Load(r io.Reader, f Format) (*Checkpoint, error) {
-	dec := gob.NewDecoder(r)
-	switch f {
-	case ArrayFormat:
-		var blob arrayBlob
-		if err := dec.Decode(&blob); err != nil {
-			return nil, fmt.Errorf("training: load: %w", err)
-		}
-		return NewCheckpoint(blob.Step, blob.Params, blob.Workers)
-	case FileFormat:
-		var ck *Checkpoint
-		for {
-			var blob fileBlob
-			err := dec.Decode(&blob)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return nil, fmt.Errorf("training: load shard: %w", err)
-			}
-			if ck == nil {
-				ck = &Checkpoint{Step: blob.Step, Workers: blob.Workers, Shards: make([][]float32, blob.Workers)}
-			}
-			if blob.Index < 0 || blob.Index >= len(ck.Shards) {
-				return nil, fmt.Errorf("%w: shard index %d of %d", ErrCheckpoint, blob.Index, len(ck.Shards))
-			}
-			ck.Shards[blob.Index] = blob.Shard
-		}
-		if ck == nil {
-			return nil, fmt.Errorf("%w: empty stream", ErrCheckpoint)
-		}
-		for i, s := range ck.Shards {
-			if s == nil {
-				return nil, fmt.Errorf("%w: missing shard %d", ErrCheckpoint, i)
-			}
-		}
-		return ck, nil
-	default:
-		return nil, fmt.Errorf("%w: unknown format %d", ErrCheckpoint, int(f))
-	}
-}
-
-// Diff returns the indices and values of parameters that changed between
-// base and cur — the payload of differential checkpointing [17].
-func Diff(base, cur []float32) (idx []int, vals []float32, err error) {
-	if len(base) != len(cur) {
-		return nil, nil, fmt.Errorf("%w: diff length mismatch %d vs %d", ErrCheckpoint, len(base), len(cur))
-	}
-	for i := range cur {
-		//lint:ignore floateq change detection must be exact: an ulp-sized update is still an update the diff must carry
-		if cur[i] != base[i] {
-			idx = append(idx, i)
-			vals = append(vals, cur[i])
-		}
-	}
-	return idx, vals, nil
-}
-
-// ApplyDiff reconstructs the current parameters from a base and a diff.
-func ApplyDiff(base []float32, idx []int, vals []float32) ([]float32, error) {
-	if len(idx) != len(vals) {
-		return nil, fmt.Errorf("%w: diff arity %d vs %d", ErrCheckpoint, len(idx), len(vals))
-	}
-	out := make([]float32, len(base))
-	copy(out, base)
-	for i, j := range idx {
-		if j < 0 || j >= len(out) {
-			return nil, fmt.Errorf("%w: diff index %d out of range", ErrCheckpoint, j)
-		}
-		out[j] = vals[i]
-	}
-	return out, nil
-}
-
-// Quantize compresses parameters to 8-bit with per-tensor scale — the
-// lossy size reduction of Check-N-Run [17]. Dequantize reverses it with
-// bounded error.
-func Quantize(params []float32) (data []byte, scale float32) {
-	var max float32
-	for _, v := range params {
-		if v > max {
-			max = v
-		}
-		if -v > max {
-			max = -v
-		}
-	}
-	if max == 0 {
-		return make([]byte, len(params)), 0
-	}
-	scale = max / 127
-	data = make([]byte, len(params))
-	for i, v := range params {
-		q := int32(v/scale + 0.5)
-		if v < 0 {
-			q = int32(v/scale - 0.5)
-		}
-		if q > 127 {
-			q = 127
-		}
-		if q < -127 {
-			q = -127
-		}
-		data[i] = byte(int8(q))
-	}
-	return data, scale
-}
-
-// Dequantize reverses Quantize.
-func Dequantize(data []byte, scale float32) []float32 {
-	out := make([]float32, len(data))
-	for i, b := range data {
-		out[i] = float32(int8(b)) * scale
-	}
-	return out
 }

@@ -1,7 +1,6 @@
 package training
 
 import (
-	"bytes"
 	"errors"
 	"math"
 	"math/rand"
@@ -164,98 +163,6 @@ func TestReshardPreservesParamsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestSaveLoadBothFormats(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	params := make([]float32, 101)
-	for i := range params {
-		params[i] = rng.Float32()
-	}
-	ck, err := NewCheckpoint(7, params, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range []Format{ArrayFormat, FileFormat} {
-		var buf bytes.Buffer
-		if err := ck.Save(&buf, f); err != nil {
-			t.Fatalf("format %d save: %v", f, err)
-		}
-		got, err := Load(&buf, f)
-		if err != nil {
-			t.Fatalf("format %d load: %v", f, err)
-		}
-		if got.Step != 7 || got.Workers != 4 {
-			t.Errorf("format %d meta: %+v", f, got)
-		}
-		flat := got.Flatten()
-		for i := range params {
-			if flat[i] != params[i] {
-				t.Fatalf("format %d param mismatch at %d", f, i)
-			}
-		}
-	}
-}
-
-func TestLoadCorrupt(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("junk")), ArrayFormat); err == nil {
-		t.Error("corrupt array load succeeded")
-	}
-	if _, err := Load(bytes.NewReader(nil), FileFormat); err == nil {
-		t.Error("empty file-format load succeeded")
-	}
-}
-
-func TestDiffApplyRoundTrip(t *testing.T) {
-	base := []float32{1, 2, 3, 4, 5}
-	cur := []float32{1, 9, 3, 8, 5}
-	idx, vals, err := Diff(base, cur)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(idx) != 2 {
-		t.Fatalf("diff size = %d", len(idx))
-	}
-	got, err := ApplyDiff(base, idx, vals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range cur {
-		if got[i] != cur[i] {
-			t.Fatalf("mismatch at %d", i)
-		}
-	}
-	if _, _, err := Diff([]float32{1}, []float32{1, 2}); err == nil {
-		t.Error("length mismatch accepted")
-	}
-	if _, err := ApplyDiff(base, []int{99}, []float32{1}); err == nil {
-		t.Error("out-of-range index accepted")
-	}
-}
-
-func TestQuantizeBoundedError(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	params := make([]float32, 500)
-	for i := range params {
-		params[i] = (rng.Float32() - 0.5) * 4
-	}
-	data, scale := Quantize(params)
-	back := Dequantize(data, scale)
-	for i := range params {
-		if math.Abs(float64(back[i]-params[i])) > float64(scale)/2+1e-6 {
-			t.Fatalf("quantization error at %d: %v vs %v (scale %v)", i, back[i], params[i], scale)
-		}
-	}
-	// All-zero input.
-	data, scale = Quantize(make([]float32, 4))
-	if scale != 0 {
-		t.Error("zero input scale")
-	}
-	for _, b := range Dequantize(data, scale) {
-		if b != 0 {
-			t.Error("zero input roundtrip")
-		}
 	}
 }
 

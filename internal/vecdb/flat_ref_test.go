@@ -1,7 +1,6 @@
 package vecdb
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -253,9 +252,9 @@ func checkAgainstReference(t *testing.T, name string, f *Flat, m *flatModel, que
 // blocks hold sparse and dense columns. The sequences cover deletes
 // inside a sealed block (a re-seal), a delete that un-fills the last
 // block and the add that seals it again, deletes that empty and release
-// the last block, re-adds, sharded scans that split sealed blocks, and a
-// Save/LoadFlat round trip. One in ten stored vectors repeats an earlier
-// one, so results also carry exact score ties.
+// the last block, re-adds, and sharded scans that split sealed blocks.
+// One in ten stored vectors repeats an earlier one, so results also
+// carry exact score ties.
 func TestFlatScanMatchesReference(t *testing.T) {
 	const dim = 24
 	compared := 0
@@ -318,16 +317,6 @@ func TestFlatScanMatchesReference(t *testing.T) {
 			m.add(t, f, fmt.Sprintf("readd%05d", i), refStoredVec(rng, dim))
 		}
 		check("re-added", f, m, queries)
-
-		var buf bytes.Buffer
-		if err := f.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		loaded, err := LoadFlat(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		check("loaded", loaded, m, queries)
 	}
 
 	// Score ties at the heap root: every fourth row is v, and ids fall as

@@ -1,10 +1,8 @@
 package vecdb
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -96,57 +94,6 @@ func stressIndex(t *testing.T, idx Index, dim int) {
 func TestFlatParallel(t *testing.T) {
 	t.Parallel()
 	stressIndex(t, NewFlat(16), 16)
-}
-
-// TestFlatSaveRacesDelete: 20 Saves race 1500 Deletes on a 2000-vector
-// index. Every snapshot must be one the index actually held: each saved
-// id carries the vector it was added with. Under -race this also proves
-// Save reads nothing after it releases the lock.
-func TestFlatSaveRacesDelete(t *testing.T) {
-	t.Parallel()
-	const dim, n, deletes, saves = 8, 2000, 1500, 20
-	f, vecs := fillFlat(t, n, dim, 9)
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < deletes; i++ {
-			if err := f.Delete(fmt.Sprintf("v%06d", i)); err != nil {
-				t.Errorf("Delete: %v", err)
-				return
-			}
-		}
-	}()
-	snaps := make([]bytes.Buffer, saves)
-	go func() {
-		defer wg.Done()
-		for i := range snaps {
-			if err := f.Save(&snaps[i]); err != nil {
-				t.Errorf("Save: %v", err)
-				return
-			}
-		}
-	}()
-	wg.Wait()
-	for i := range snaps {
-		loaded, err := LoadFlat(&snaps[i])
-		if err != nil {
-			t.Fatalf("snapshot %d: %v", i, err)
-		}
-		if l := loaded.Len(); l < n-deletes || l > n {
-			t.Fatalf("snapshot %d holds %d vectors, want %d..%d", i, l, n-deletes, n)
-		}
-		for id, row := range loaded.pos {
-			var want int
-			if _, err := fmt.Sscanf(id, "v%06d", &want); err != nil {
-				t.Fatal(err)
-			}
-			got, _ := loaded.Get(id)
-			if !reflect.DeepEqual(got, vecs[want]) {
-				t.Fatalf("snapshot %d: %s (row %d) = %v, added as %v", i, id, row, got, vecs[want])
-			}
-		}
-	}
 }
 
 func TestHNSWParallel(t *testing.T) {

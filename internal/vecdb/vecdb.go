@@ -104,7 +104,7 @@ type DistCounter interface {
 // A block is sealed when its last row is added: sealed[b] then lists
 // the non-zeros of each of block b's sparse columns, which a scan reads
 // instead of the whole column. The blocks stay the source of truth for
-// Get, Save, Delete and the unfilled last block.
+// Get, Delete and the unfilled last block.
 type Flat struct {
 	parallelism
 	mu       sync.RWMutex

@@ -1,8 +1,6 @@
 package vecdb
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math"
@@ -386,51 +384,6 @@ func TestRecallHelper(t *testing.T) {
 	}
 	if r := Recall(nil, nil); r != 1 {
 		t.Errorf("Recall empty = %v, want 1", r)
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	const dim = 8
-	f := NewFlat(dim)
-	vecs := fillIndex(t, f, 25, dim, 21)
-	var buf bytes.Buffer
-	if err := f.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadFlat(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Len() != 25 || loaded.Dim() != dim {
-		t.Fatalf("loaded Len=%d Dim=%d", loaded.Len(), loaded.Dim())
-	}
-	a, _ := f.Search(vecs[5], 3)
-	b, _ := loaded.Search(vecs[5], 3)
-	for i := range a {
-		if a[i].ID != b[i].ID {
-			t.Errorf("result %d: %s vs %s", i, a[i].ID, b[i].ID)
-		}
-	}
-}
-
-func TestLoadFlatCorrupt(t *testing.T) {
-	if _, err := LoadFlat(bytes.NewReader([]byte("not gob"))); err == nil {
-		t.Error("expected error for corrupt input")
-	}
-	encode := func(snap snapshot) *bytes.Buffer {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
-			t.Fatal(err)
-		}
-		return &buf
-	}
-	inf := float32(math.Inf(1))
-	_, err := LoadFlat(encode(snapshot{Dim: 2, IDs: []string{"a", "b"}, Vecs: [][]float32{{1, 0}, {0, inf}}}))
-	if !errors.Is(err, ErrNonFinite) {
-		t.Errorf("snapshot with Inf: err = %v, want ErrNonFinite", err)
-	}
-	if _, err := LoadFlat(encode(snapshot{Dim: 2, IDs: []string{"a", "b"}, Vecs: [][]float32{{1, 0}}})); err == nil {
-		t.Error("snapshot with more ids than vectors loaded without error")
 	}
 }
 
