@@ -4,6 +4,14 @@
 //
 // The library has two faces, mirroring the paper's two directions:
 //
+// Both sketches below start from a synthetic corpus:
+//
+//	c, _ := dataai.GenerateCorpus(dataai.DefaultCorpusConfig(1))
+//	docs := make([]dataai.Document, len(c.Docs))
+//	for i, d := range c.Docs {
+//		docs[i] = dataai.Document{ID: d.ID, Text: d.Text}
+//	}
+//
 // LLM4Data — using (simulated) LLMs to process data:
 //
 //	client := dataai.NewSimulatedLLM(dataai.LargeModel(), 42)
@@ -14,7 +22,8 @@
 //
 // Data4LLM — using data management to optimize the LLM lifecycle:
 //
-//	clean, report := dataai.ApplyFilters(docs, dataai.DefaultHeuristicFilter())
+//	clean, _ := dataai.ApplyFilters(c.Texts(), dataai.DefaultHeuristicFilter())
+//	minhash, _ := dataai.NewMinHasher(128, 32, 3, 1)
 //	kept, _ := minhash.Dedup(clean, 0.6)
 //	lm := dataai.NewNGramLM()
 //	lm.TrainAll(kept)
@@ -86,7 +95,7 @@ func NewLLMCascade(cheap, expensive LLMClient, threshold float64) *llm.Cascade {
 }
 
 // NewNGramLM builds the statistical language model used for perplexity
-// scoring and Markov synthesis.
+// scoring.
 func NewNGramLM() *ngram.Model { return ngram.New() }
 
 // --- Fault injection and resilience (packages faults, resilient) ---

@@ -29,7 +29,9 @@ type DisaggOpts struct {
 // common optimization of [19, 45], so a sequence is ready to decode the
 // moment its prefill ends. Both pools run on one shared sim.Engine
 // clock: arrivals claim the earliest-available prefill GPU, and each
-// transfer-completion event hands the sequence to the decode pool.
+// transfer-completion event hands the sequence to the decode pool. A
+// request no decode GPU could ever hold is rejected at arrival, before
+// its prefill.
 func RunDisaggregated(gpu GPUConfig, reqs []workload.Request, opts DisaggOpts) (*Report, error) {
 	if err := gpu.Validate(); err != nil {
 		return nil, err
@@ -58,10 +60,17 @@ func RunDisaggregated(gpu GPUConfig, reqs []workload.Request, opts DisaggOpts) (
 	// order (the engine fires arrivals in exactly that order).
 	prefillFree := make([]float64, opts.PrefillGPUs)
 	nextPool := 0
+	capacityTokens := pools[0].kv.Capacity() * gpu.BlockSize
+	var rejected []Result
 	// One ArgHandler takes every arrival; its argument is the request's
 	// index in the trace, which is also the request's KV handle.
 	arrive := func(now float64, idx uint64) {
 		r := ordered[idx]
+		if neverFits(&r, capacityTokens, gpu.MaxSeqLen) {
+			traceRejectArrival(opts.Trace, now, r)
+			rejected = append(rejected, Result{Req: r, Rejected: true})
+			return
+		}
 		// Earliest-available prefill GPU.
 		g := 0
 		for i := 1; i < len(prefillFree); i++ {
@@ -102,6 +111,7 @@ func RunDisaggregated(gpu GPUConfig, reqs []workload.Request, opts DisaggOpts) (
 	eng.Run()
 
 	results := make([]Result, 0, len(ordered)) // every request resolves once
+	results = append(results, rejected...)
 	peak := 0
 	for i, pool := range pools {
 		for _, d := range pool.waiting {

@@ -2,8 +2,11 @@ package serving
 
 import (
 	"fmt"
+	"sort"
+	"strings"
 	"testing"
 
+	"dataai/internal/obs"
 	"dataai/internal/workload"
 )
 
@@ -231,5 +234,97 @@ func TestRoutedAdmissionShedsOverload(t *testing.T) {
 	if queued.AdmissionRejected >= shed.AdmissionRejected {
 		t.Errorf("queue mode rejected %d, want fewer than reject mode's %d",
 			queued.AdmissionRejected, shed.AdmissionRejected)
+	}
+}
+
+// TestTokenBucketClosedForm checks admission against the token bucket's
+// closed form on E25-shaped traced runs: DefaultMultiTenant at a
+// saturating 130 req/s on 4 cache-aware instances, with buckets weighted
+// by each tenant's rate fraction, under AdmitReject and AdmitQueue. A
+// tenant of weight w starts with a full bucket of w·BurstTokens that
+// refills at w·RefillPerSec, so for any two of its deliveries at
+// t_i ≤ t_j the prompt+output tokens delivered in [t_i, t_j] are at most
+//
+//	w·BurstTokens + w·RefillPerSec·(t_j − t_i)/1000.
+//
+// A request is delivered where its first queue span opens. AdmitQueue
+// delivers a held request the instant its reservation's deficit has
+// refilled, so its windows reach the bound exactly: the only slack
+// allowed is float rounding, 1e-9 of the bound.
+func TestTokenBucketClosedForm(t *testing.T) {
+	const burst, refillPerSec, slack = 30000.0, 36000.0, 1e-9
+	spec := workload.DefaultMultiTenant(2501, 600, 130)
+	weights := map[string]float64{}
+	for _, c := range spec.Clients {
+		weights[c.TenantID] = c.RateFraction
+	}
+	reqs, err := workload.GenerateSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byID := make(map[string]workload.Request, len(reqs))
+	for _, r := range reqs {
+		byID[r.ID] = r
+	}
+	for _, policy := range []AdmissionPolicy{AdmitReject, AdmitQueue} {
+		adm := AdmissionConfig{Policy: policy, BurstTokens: burst, RefillPerSec: refillPerSec, Weights: weights}
+		if policy == AdmitQueue {
+			adm.MaxQueueMS = 2000
+		}
+		tr := obs.NewTracer()
+		rep, err := Run(ClusterConfig{GPU: DefaultGPU(), Instances: 4, Router: CacheAware,
+			Opts: ContinuousOpts{ChunkTokens: 256, Trace: tr}, Admission: adm}, reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.AdmissionRejected == 0 {
+			t.Errorf("%s: no request was rejected, so the buckets never bound", policy)
+		}
+		type delivery struct {
+			ms     float64
+			tokens int
+		}
+		delivered := map[string]bool{}
+		perTenant := map[string][]delivery{}
+		for _, s := range tr.Spans() {
+			id, ok := strings.CutPrefix(s.Track, "req/")
+			if !ok || s.Name != "queue" || delivered[id] {
+				continue
+			}
+			delivered[id] = true
+			r := byID[id]
+			perTenant[r.Tenant] = append(perTenant[r.Tenant], delivery{s.StartMS, r.PromptTokens + r.OutputTokens})
+		}
+		if len(delivered) != len(reqs)-rep.AdmissionRejected {
+			t.Fatalf("%s: %d deliveries for %d admitted requests", policy, len(delivered), len(reqs)-rep.AdmissionRejected)
+		}
+		tightest := 0.0 // the largest share of its bound any window reaches
+		for _, c := range spec.Clients {
+			tenant := c.TenantID
+			ds := perTenant[tenant]
+			sort.SliceStable(ds, func(i, j int) bool { return ds[i].ms < ds[j].ms })
+			w := weights[tenant]
+			for i := range ds {
+				if i > 0 && ds[i-1].ms == ds[i].ms {
+					continue // the window starting at ds[i].ms begins at its first delivery
+				}
+				sum := 0
+				for j := i; j < len(ds); j++ {
+					sum += ds[j].tokens
+					if j+1 < len(ds) && ds[j+1].ms == ds[j].ms {
+						continue // the window ending at ds[j].ms holds all its deliveries
+					}
+					bound := w*burst + w*refillPerSec*(ds[j].ms-ds[i].ms)/1000
+					if float64(sum) > bound*(1+slack) {
+						t.Fatalf("%s: tenant %s got %d tokens in [%v, %v] ms, over the bound %v",
+							policy, tenant, sum, ds[i].ms, ds[j].ms, bound)
+					}
+					tightest = max(tightest, float64(sum)/bound)
+				}
+			}
+		}
+		if policy == AdmitQueue && tightest < 1-slack {
+			t.Errorf("%s: the tightest window reaches %.12f of its bound, want 1 within rounding", policy, tightest)
+		}
 	}
 }

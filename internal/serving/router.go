@@ -655,9 +655,7 @@ func (c *cluster) streamArrivals(ordered []workload.Request) {
 	}
 	deliver := func(now float64, idx uint64) {
 		r := &ordered[idx]
-		// A footprint no instance can ever hold is rejected at arrival.
-		footprint := r.PromptTokens + r.OutputTokens
-		if footprint > capacityTokens || footprint > c.gpu.MaxSeqLen {
+		if neverFits(r, capacityTokens, c.gpu.MaxSeqLen) {
 			c.rejectArrival(now, r)
 			return
 		}
@@ -675,6 +673,15 @@ func (c *cluster) streamArrivals(ordered []workload.Request) {
 		c.dispatch(now, r, false)
 	}
 	c.eng.Stream(len(ordered), func(i int) float64 { return ordered[i].ArrivalMS }, deliver)
+}
+
+// neverFits reports whether r's footprint, its prompt plus output
+// tokens, is more than a GPU whose KV holds capacityTokens can ever
+// serve. Run and RunDisaggregated reject such a request at arrival,
+// before any GPU time is spent on it.
+func neverFits(r *workload.Request, capacityTokens, maxSeqLen int) bool {
+	footprint := r.PromptTokens + r.OutputTokens
+	return footprint > capacityTokens || footprint > maxSeqLen
 }
 
 // dispatch routes an arriving request and queues its sequence on the

@@ -100,7 +100,9 @@ func arrivalOrder(reqs []workload.Request) []workload.Request {
 // in arrival order into batches of batchSize; each batch is prefilled
 // then decoded to the *longest* member's completion before the next
 // batch starts — early finishers hold their slot, which is exactly the
-// inefficiency continuous batching removes.
+// inefficiency continuous batching removes. A request whose KV
+// reservation fails is rejected: it leaves its batch and is neither
+// prefilled nor decoded.
 func RunStatic(gpu GPUConfig, reqs []workload.Request, batchSize int) (*Report, error) {
 	if err := gpu.Validate(); err != nil {
 		return nil, err
@@ -124,13 +126,15 @@ func RunStatic(gpu GPUConfig, reqs []workload.Request, batchSize int) (*Report, 
 		}
 		batch := make([]*seqState, 0, end-start)
 		for _, r := range ordered[start:end] {
+			// A sequence's KV handle is its index in the batch.
+			if !kv.Alloc(len(batch), r.PromptTokens+r.OutputTokens) {
+				results = append(results, Result{Req: r, Rejected: true})
+				continue
+			}
 			if r.ArrivalMS > clock {
 				clock = r.ArrivalMS // batch forms when its members arrived
 			}
-			// A sequence's KV handle is its index in the batch.
-			s := &seqState{req: r, prefillLeft: r.PromptTokens}
-			kv.Alloc(len(batch), r.PromptTokens+r.OutputTokens)
-			batch = append(batch, s)
+			batch = append(batch, &seqState{req: r, prefillLeft: r.PromptTokens})
 		}
 		// Sequential prefill; each member's first token arrives at the
 		// end of its own prefill.

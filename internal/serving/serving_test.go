@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"dataai/internal/obs"
 	"dataai/internal/sim"
 	"dataai/internal/workload"
 )
@@ -66,6 +67,84 @@ func TestRunStaticBasics(t *testing.T) {
 func TestRunStaticValidation(t *testing.T) {
 	if _, err := RunStatic(DefaultGPU(), nil, 0); !errors.Is(err, ErrConfig) {
 		t.Errorf("err = %v", err)
+	}
+}
+
+// TestEveryEntryPointRejectsANeverFittingRequest sends a request over
+// DefaultGPU's MaxSeqLen (4,000+200 tokens at 0 ms) ahead of a short one
+// (100+20 tokens at 1 ms) through every entry point. Each must reject
+// exactly the long request and spend no GPU time or KV on it: the short
+// request's TTFT and the run's peak KV equal those of the short request
+// run alone.
+func TestEveryEntryPointRejectsANeverFittingRequest(t *testing.T) {
+	gpu := DefaultGPU()
+	long := workload.Request{ID: "long", PromptTokens: 4000, OutputTokens: 200}
+	short := workload.Request{ID: "short", ArrivalMS: 1, PromptTokens: 100, OutputTokens: 20}
+	if long.PromptTokens+long.OutputTokens <= gpu.MaxSeqLen {
+		t.Fatal("the long request fits, so the test would check nothing")
+	}
+	traced := func(t *testing.T, run func(tr *obs.Tracer) (*Report, error)) (*Report, error) {
+		tr := obs.NewTracer()
+		rep, err := run(tr)
+		if err == nil {
+			if cerr := tr.Check(); cerr != nil {
+				t.Errorf("trace: %v", cerr)
+			}
+		}
+		return rep, err
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T, reqs []workload.Request) (*Report, error)
+	}{
+		{"RunStatic", func(_ *testing.T, reqs []workload.Request) (*Report, error) {
+			return RunStatic(gpu, reqs, 8)
+		}},
+		{"RunContinuous", func(t *testing.T, reqs []workload.Request) (*Report, error) {
+			return traced(t, func(tr *obs.Tracer) (*Report, error) {
+				return RunContinuous(gpu, reqs, ContinuousOpts{Trace: tr})
+			})
+		}},
+		{"RunDisaggregated", func(t *testing.T, reqs []workload.Request) (*Report, error) {
+			return traced(t, func(tr *obs.Tracer) (*Report, error) {
+				return RunDisaggregated(gpu, reqs, DisaggOpts{PrefillGPUs: 1, DecodeGPUs: 1, Trace: tr})
+			})
+		}},
+		{"Run", func(t *testing.T, reqs []workload.Request) (*Report, error) {
+			return traced(t, func(tr *obs.Tracer) (*Report, error) {
+				rep, err := Run(ClusterConfig{GPU: gpu, Instances: 2, Opts: ContinuousOpts{Trace: tr}}, reqs)
+				if err != nil {
+					return nil, err
+				}
+				return &rep.Report, nil
+			})
+		}},
+	} {
+		alone, err := tc.run(t, []workload.Request{short})
+		if err != nil {
+			t.Fatalf("%s alone: %v", tc.name, err)
+		}
+		rep, err := tc.run(t, []workload.Request{long, short})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if len(alone.Results) != 1 || alone.Rejected != 0 {
+			t.Fatalf("%s alone: %d results, %d rejected", tc.name, len(alone.Results), alone.Rejected)
+		}
+		if len(rep.Results) != 2 || rep.Rejected != 1 {
+			t.Errorf("%s: %d results, %d rejected; want 2 and 1", tc.name, len(rep.Results), rep.Rejected)
+		}
+		for _, r := range rep.Results {
+			if r.Rejected != (r.Req.ID == "long") {
+				t.Errorf("%s: %s rejected = %t", tc.name, r.Req.ID, r.Rejected)
+			}
+			if r.Req.ID == "short" && r.TTFTms != alone.Results[0].TTFTms {
+				t.Errorf("%s: short TTFT %v ms, %v ms alone", tc.name, r.TTFTms, alone.Results[0].TTFTms)
+			}
+		}
+		if rep.PeakKVBlocks != alone.PeakKVBlocks {
+			t.Errorf("%s: peak KV %d blocks, %d alone", tc.name, rep.PeakKVBlocks, alone.PeakKVBlocks)
+		}
 	}
 }
 

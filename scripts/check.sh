@@ -53,9 +53,9 @@ go test -race -count=3 -run 'SingleFlight|Parallel' ./internal/llm ./internal/se
 # caller's and a helper's share, and helpers parking after their spin,
 # under the race detector with many interleavings.
 go test -race -count=20 ./internal/par
-# vecdb.Flat: Save racing Delete, concurrent Add/Search/Delete, searches
-# racing the seals of Add and Delete, and the sharded scan against the
-# serial one and the dense reference scan.
+# vecdb.Flat: concurrent Add/Search/Delete, searches racing the seals of
+# Add and Delete, and the sharded scan against the serial one and the
+# dense reference scan.
 go test -race -count=10 -run 'Flat' ./internal/vecdb
 # token.Tokenize against its builder-based oracle on generated strings,
 # valid UTF-8 or not, starting from the seed corpus in testdata/fuzz.
