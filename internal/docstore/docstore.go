@@ -19,7 +19,7 @@ import (
 // ErrNotFound indicates a lookup of an absent document or chunk.
 var ErrNotFound = errors.New("docstore: not found")
 
-// Document is a stored source document.
+// Document is a source document to chunk and index.
 type Document struct {
 	ID   string
 	Text string
@@ -137,10 +137,10 @@ func SplitSentences(text string) []string {
 	return out
 }
 
-// Store holds documents and their chunks. It is safe for concurrent use.
+// Store holds documents' chunks. It is safe for concurrent use.
 type Store struct {
 	mu     sync.RWMutex
-	docs   map[string]Document
+	docs   map[string]struct{} // the stored document IDs
 	chunks map[string]Chunk
 	order  []string // chunk ids in insertion order
 }
@@ -148,12 +148,12 @@ type Store struct {
 // NewStore returns an empty store.
 func NewStore() *Store {
 	return &Store{
-		docs:   make(map[string]Document),
+		docs:   make(map[string]struct{}),
 		chunks: make(map[string]Chunk),
 	}
 }
 
-// AddDocument stores doc and indexes its chunks produced by chunker.
+// AddDocument indexes doc's chunks produced by chunker.
 // It returns the chunks created. Re-adding an existing ID is an error.
 func (s *Store) AddDocument(doc Document, chunker Chunker) ([]Chunk, error) {
 	if doc.ID == "" {
@@ -164,7 +164,7 @@ func (s *Store) AddDocument(doc Document, chunker Chunker) ([]Chunk, error) {
 	if _, ok := s.docs[doc.ID]; ok {
 		return nil, fmt.Errorf("docstore: duplicate document %q", doc.ID)
 	}
-	s.docs[doc.ID] = doc
+	s.docs[doc.ID] = struct{}{}
 	pieces := chunker.Chunk(doc.Text)
 	out := make([]Chunk, 0, len(pieces))
 	for i, p := range pieces {

@@ -207,10 +207,3 @@ func runE8() (*metrics.Table, error) {
 	}
 	return t, nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -268,10 +268,3 @@ func runE5() (*metrics.Table, error) {
 	}
 	return t, nil
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

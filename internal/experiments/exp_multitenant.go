@@ -133,21 +133,35 @@ func runE25Workers(workers int) (*Output, error) {
 	grid := e25Grid()
 	type cellOut struct {
 		rep *serving.RoutedReport
+		tr  *obs.Tracer // the flagship cell's trace, for the breakdown
 		err error
 	}
 	cells := sim.Sweep(grid, workers, func(cell int, coords []int) cellOut {
-		rep, err := e25Cell(grid.ValueNamed("load", cell),
-			grid.ValueNamed("admission", cell), grid.ValueNamed("sched", cell), nil)
-		return cellOut{rep, err}
+		var out cellOut
+		// The flagship saturation cell — token-bucket shedding plus
+		// class-priority scheduling — runs traced, so the per-tenant
+		// counters and gauges land in the registry and the span
+		// invariants are checked. Tracing only observes: its row is
+		// unchanged.
+		if grid.Label(cell) == "load=saturate admission=reject sched=priority" {
+			out.tr = obs.NewTracer()
+		}
+		out.rep, out.err = e25Cell(grid.ValueNamed("load", cell),
+			grid.ValueNamed("admission", cell), grid.ValueNamed("sched", cell), out.tr)
+		return out
 	})
 	t := metrics.NewTable(
 		fmt.Sprintf("E25: multi-tenant admission x scheduling (%d instances, 600 reqs, interactive SLO TTFT<=%dms)",
 			e25Instances, e25TTFTSLOms),
 		"load", "admission", "sched", "inter p99 TTFT (ms)", "inter attain",
 		"batch tok/s", "adm rejected", "delayed", "preempt", "jain")
+	var flagship cellOut
 	for cell, co := range cells {
 		if co.err != nil {
 			return nil, co.err
+		}
+		if co.tr != nil {
+			flagship = co
 		}
 		rep := co.rep
 		inter := rep.ClassTTFT(workload.Interactive)
@@ -158,15 +172,8 @@ func runE25Workers(workers int) (*Output, error) {
 			rep.AdmissionRejected, rep.AdmissionDelayed, rep.Preemptions, e25Jain(rep))
 	}
 
-	// Per-tenant breakdown of the flagship saturation cell — token-bucket
-	// shedding plus class-priority scheduling — traced, so the per-tenant
-	// counters and gauges land in the registry and the span invariants
-	// are checked. Tracing only observes; the grid cells stay untraced.
-	tr := obs.NewTracer()
-	rep, err := e25Cell("saturate", "reject", "priority", tr)
-	if err != nil {
-		return nil, err
-	}
+	// Per-tenant breakdown of the flagship cell.
+	rep, tr := flagship.rep, flagship.tr
 	if err := tr.Check(); err != nil {
 		return nil, fmt.Errorf("E25 trace invariants: %w", err)
 	}

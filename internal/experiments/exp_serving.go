@@ -231,10 +231,19 @@ func runE23() (*Output, error) {
 		{"medium", serving.MediumFaultPlan(2303)},
 		{"severe", serving.SevereFaultPlan(2303)},
 	}
+	// The severe cells run traced (tracing only observes, so their rows
+	// are unchanged) for the time breakdown below.
+	policies := []serving.RouterPolicy{serving.RoundRobin, serving.CacheAware, serving.BreakerAware}
+	severe := make([]*obs.Tracer, len(policies))
 	for _, pc := range plans {
-		for _, pol := range []serving.RouterPolicy{serving.RoundRobin, serving.CacheAware, serving.BreakerAware} {
+		for i, pol := range policies {
+			opts := serving.ContinuousOpts{ChunkTokens: 256}
+			if pc.name == "severe" {
+				severe[i] = obs.NewTracer()
+				opts.Trace = severe[i]
+			}
 			rep, err := serving.Run(serving.ClusterConfig{GPU: gpu, Instances: 4, Router: pol,
-				Opts: serving.ContinuousOpts{ChunkTokens: 256}, Faults: pc.plan}, reqs)
+				Opts: opts, Faults: pc.plan}, reqs)
 			if err != nil {
 				return nil, err
 			}
@@ -244,26 +253,19 @@ func runE23() (*Output, error) {
 		}
 	}
 
-	// Where does a request's time go under the severe plan? Re-run each
-	// policy's severe cell with a tracer attached (tracing is observer-
-	// only, so the cells above are unchanged) and fold the request spans
-	// into per-phase summaries. The reroute column is the crash tax: time
-	// between a crash dropping a sequence and another instance queueing it.
+	// Where does a request's time go under the severe plan? Each policy's
+	// severe trace folds its request spans into per-phase summaries. The
+	// reroute column is the crash tax: time between a crash dropping a
+	// sequence and another instance queueing it.
 	bt := metrics.NewTable("E23 time breakdown under the severe plan (per-request phase ms)",
 		"router", "queue mean", "queue p99", "prefill mean", "prefill p99",
 		"decode mean", "decode p99", "reroute mean", "reroute p99")
-	var lastTrace *obs.Tracer
-	for _, pol := range []serving.RouterPolicy{serving.RoundRobin, serving.CacheAware, serving.BreakerAware} {
-		tr := obs.NewTracer()
-		if _, err := serving.Run(serving.ClusterConfig{GPU: gpu, Instances: 4, Router: pol,
-			Opts: serving.ContinuousOpts{ChunkTokens: 256, Trace: tr}, Faults: serving.SevereFaultPlan(2303)}, reqs); err != nil {
-			return nil, err
-		}
+	for i, tr := range severe {
 		if err := tr.Check(); err != nil {
-			return nil, fmt.Errorf("E23 trace invariants (%s): %w", pol, err)
+			return nil, fmt.Errorf("E23 trace invariants (%s): %w", policies[i], err)
 		}
 		_, byPhase := obs.PhaseBreakdown(tr)
-		cells := []interface{}{pol.String()}
+		cells := []interface{}{policies[i].String()}
 		for _, phase := range []string{"queue", "prefill", "decode", "reroute"} {
 			s := byPhase[phase]
 			if s == nil {
@@ -272,9 +274,8 @@ func runE23() (*Output, error) {
 			cells = append(cells, s.Mean(), s.P99())
 		}
 		bt.AddRowf(cells...)
-		lastTrace = tr
 	}
-	return &Output{Tables: []*metrics.Table{t, bt}, Trace: lastTrace}, nil
+	return &Output{Tables: []*metrics.Table{t, bt}, Trace: severe[len(severe)-1]}, nil
 }
 
 // e24Grid is the E24 recovery-policy × fault-plan product. The sweep
@@ -336,14 +337,20 @@ func runE24Workers(workers int) (*Output, error) {
 	grid := e24Grid()
 	type cellOut struct {
 		rep *serving.RoutedReport
+		tr  *obs.Tracer // the cascade cells' trace, for the breakdown
 		err error
 	}
 	cells := sim.Sweep(grid, workers, func(cell int, coords []int) cellOut {
-		rep, err := serving.Run(serving.ClusterConfig{GPU: gpu, Instances: 8, Router: serving.BreakerAware,
-			Opts:     serving.ContinuousOpts{ChunkTokens: 256},
-			Faults:   e24Plan(grid.ValueNamed("faults", cell)),
+		var out cellOut
+		faults := grid.ValueNamed("faults", cell)
+		if faults == "cascade" {
+			out.tr = obs.NewTracer() // tracing only observes: the row is unchanged
+		}
+		out.rep, out.err = serving.Run(serving.ClusterConfig{GPU: gpu, Instances: 8, Router: serving.BreakerAware,
+			Opts:     serving.ContinuousOpts{ChunkTokens: 256, Trace: out.tr},
+			Faults:   e24Plan(faults),
 			Recovery: e24Recovery(grid.ValueNamed("recovery", cell))}, reqs)
-		return cellOut{rep, err}
+		return out
 	})
 	t := metrics.NewTable(
 		fmt.Sprintf("E24: crash recovery (8 instances, racks of 4, 900 reqs @ 75/s, SLO TTFT<=%.0fms TBT<=%.0fms)",
@@ -361,41 +368,40 @@ func runE24Workers(workers int) (*Output, error) {
 			rep.ResumedFromCkpt, rep.Migrations, rep.PrefixDemotions, rep.Crashes)
 	}
 
-	// Where does recovery time go under the cascade plan? Re-run each arm
-	// traced (tracing is observer-only) and fold the request spans into
-	// per-phase summaries. The migrate column only fills in for the
-	// ckpt+migrate arm; reroute is the crash tax checkpoints shrink.
+	// Where does recovery time go under the cascade plan? Each arm's
+	// cascade trace folds its request spans into per-phase summaries. The
+	// migrate column only fills in for the ckpt+migrate arm; reroute is
+	// the crash tax checkpoints shrink.
 	bt := metrics.NewTable("E24 time breakdown under the cascade plan (per-request phase ms)",
 		"recovery", "queue mean", "prefill mean", "decode mean",
 		"reroute mean", "reroute p99", "migrate mean", "migrate p99")
 	var lastTrace *obs.Tracer
-	for _, arm := range grid.Dims[1].Values {
-		tr := obs.NewTracer()
-		if _, err := serving.Run(serving.ClusterConfig{GPU: gpu, Instances: 8, Router: serving.BreakerAware,
-			Opts:   serving.ContinuousOpts{ChunkTokens: 256, Trace: tr},
-			Faults: e24Plan("cascade"), Recovery: e24Recovery(arm)}, reqs); err != nil {
-			return nil, err
+	for cell, co := range cells {
+		tr := co.tr
+		if tr == nil {
+			continue
 		}
+		arm := grid.ValueNamed("recovery", cell)
 		if err := tr.Check(); err != nil {
 			return nil, fmt.Errorf("E24 trace invariants (%s): %w", arm, err)
 		}
 		_, byPhase := obs.PhaseBreakdown(tr)
-		cells := []interface{}{arm}
+		row := []interface{}{arm}
 		for _, phase := range []string{"queue", "prefill", "decode"} {
 			s := byPhase[phase]
 			if s == nil {
 				s = &metrics.Summary{}
 			}
-			cells = append(cells, s.Mean())
+			row = append(row, s.Mean())
 		}
 		for _, phase := range []string{"reroute", "migrate"} {
 			s := byPhase[phase]
 			if s == nil {
 				s = &metrics.Summary{}
 			}
-			cells = append(cells, s.Mean(), s.P99())
+			row = append(row, s.Mean(), s.P99())
 		}
-		bt.AddRowf(cells...)
+		bt.AddRowf(row...)
 		lastTrace = tr
 	}
 	return &Output{Tables: []*metrics.Table{t, bt}, Trace: lastTrace}, nil

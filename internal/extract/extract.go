@@ -50,32 +50,44 @@ func (d Direct) Extract(rs *corpus.RecordSet) (*Results, error) {
 	if len(rs.Records) == 0 {
 		return nil, ErrNoRecords
 	}
-	out := &Results{Values: make(map[string]map[string]string, len(rs.Records))}
-	for _, rec := range rs.Records {
-		vals := make(map[string]string, len(rs.Attributes))
-		for _, attr := range rs.Attributes {
-			resp, err := d.Client.Complete(llm.Request{Prompt: llm.ExtractPrompt(attr, rec.Text)})
-			if err != nil {
-				return nil, fmt.Errorf("extract: direct %s/%s: %w", rec.ID, attr, err)
-			}
-			out.LLMCalls++
-			if resp.Degraded {
-				out.Degraded++
-			}
-			out.CostUSD += resp.CostUSD
-			if !llm.IsUnknown(resp.Text) {
-				vals[attr] = resp.Text
-			}
-		}
-		out.Values[rec.ID] = vals
+	out := &Results{}
+	var err error
+	if out.Values, err = out.label(d.Client, rs.Records, rs.Attributes, "direct"); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
+// label extracts every attribute of every record in recs with one LLM
+// call per pair, returning the known values by record ID and attribute
+// and metering the calls in res. An error names the failing pair after
+// stage, the caller's name in error messages.
+func (res *Results) label(c llm.Client, recs []corpus.Record, attrs []string, stage string) (map[string]map[string]string, error) {
+	labels := make(map[string]map[string]string, len(recs))
+	for _, rec := range recs {
+		vals := make(map[string]string, len(attrs))
+		for _, attr := range attrs {
+			resp, err := c.Complete(llm.Request{Prompt: llm.ExtractPrompt(attr, rec.Text)})
+			if err != nil {
+				return nil, fmt.Errorf("extract: %s %s/%s: %w", stage, rec.ID, attr, err)
+			}
+			res.LLMCalls++
+			if resp.Degraded {
+				res.Degraded++
+			}
+			res.CostUSD += resp.CostUSD
+			if !llm.IsUnknown(resp.Text) {
+				vals[attr] = resp.Text
+			}
+		}
+		labels[rec.ID] = vals
+	}
+	return labels, nil
+}
+
 // candidateFn is a synthesized rule-based extraction function.
 type candidateFn struct {
-	name string
-	fn   func(text, attr string) string
+	fn func(text, attr string) string
 	// weight is the function's measured accuracy on the labeled sample.
 	weight float64
 }
@@ -86,16 +98,16 @@ type candidateFn struct {
 // deliberately weak heuristic so that vote weighting has work to do.
 func candidatePool() []candidateFn {
 	return []candidateFn{
-		{name: "colon", fn: func(text, attr string) string {
+		{fn: func(text, attr string) string {
 			return firstMatch(text, regexp.MustCompile(`(?mi)^`+regexp.QuoteMeta(attr)+`\s*:\s*(.+)$`))
 		}},
-		{name: "equals", fn: func(text, attr string) string {
+		{fn: func(text, attr string) string {
 			return firstMatch(text, regexp.MustCompile(`(?mi)^`+regexp.QuoteMeta(attr)+`\s*=\s*(.+)$`))
 		}},
-		{name: "prose", fn: func(text, attr string) string {
+		{fn: func(text, attr string) string {
 			return firstMatch(text, regexp.MustCompile(`(?i)the `+regexp.QuoteMeta(attr)+` is ([^.\n]+)`))
 		}},
-		{name: "next-token", fn: func(text, attr string) string {
+		{fn: func(text, attr string) string {
 			// Weak heuristic: the token following the attribute word.
 			fields := strings.Fields(text)
 			for i, f := range fields {
@@ -145,24 +157,9 @@ func (e Evaporate) Extract(rs *corpus.RecordSet) (*Results, error) {
 
 	// Phase 1: label a sample with the LLM (the only model spending).
 	sample := rs.Records[:sampleSize]
-	labels := make(map[string]map[string]string, sampleSize)
-	for _, rec := range sample {
-		vals := make(map[string]string, len(rs.Attributes))
-		for _, attr := range rs.Attributes {
-			resp, err := e.Client.Complete(llm.Request{Prompt: llm.ExtractPrompt(attr, rec.Text)})
-			if err != nil {
-				return nil, fmt.Errorf("extract: evaporate sample %s/%s: %w", rec.ID, attr, err)
-			}
-			out.LLMCalls++
-			if resp.Degraded {
-				out.Degraded++
-			}
-			out.CostUSD += resp.CostUSD
-			if !llm.IsUnknown(resp.Text) {
-				vals[attr] = resp.Text
-			}
-		}
-		labels[rec.ID] = vals
+	labels, err := out.label(e.Client, sample, rs.Attributes, "evaporate sample")
+	if err != nil {
+		return nil, err
 	}
 
 	// Phase 2: score candidate functions against the sample labels.

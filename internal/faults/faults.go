@@ -136,10 +136,10 @@ func (in *Injector) Stats() Stats {
 
 // draw returns a deterministic uniform in [0,1) for (prompt, seed,
 // attempt, salt) — the injector's only source of randomness. It is
-// Uniform over the injector's historical key format, so existing
+// token.Uniform over the injector's historical key format, so existing
 // experiment outputs are unchanged.
 func (in *Injector) draw(prompt string, attempt int, salt string) float64 {
-	return Uniform(in.seed, fmt.Sprintf("%s\x00%d\x00%s", prompt, attempt, salt))
+	return token.Uniform(fmt.Sprintf("%s\x00%d\x00%s", prompt, attempt, salt), in.seed)
 }
 
 // Complete implements llm.Client.

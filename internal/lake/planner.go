@@ -31,7 +31,6 @@ type Planner struct {
 	client llm.Client
 	lake   *Lake
 	agent  *agent.Agent
-	rag    *rag.Pipeline
 }
 
 // NewPlanner wires the tool set over the lake: a retriever across item
@@ -59,7 +58,6 @@ func NewPlanner(client llm.Client, l *Lake, e embed.Embedder) (*Planner, error) 
 	if err := rp.Ingest(docs); err != nil {
 		return nil, fmt.Errorf("lake: planner ingest: %w", err)
 	}
-	p.rag = rp
 
 	tools := []agent.Tool{
 		agent.ToolFunc{

@@ -47,10 +47,9 @@ func obsGuardScope(importPath string) bool {
 	return strings.Contains(importPath, "internal/obs")
 }
 
-// method is one pointer-receiver method declaration under analysis.
+// obsMethod is one pointer-receiver method declaration under analysis.
 type obsMethod struct {
 	decl     *ast.FuncDecl
-	obj      *types.Func
 	recvName string
 	recvObj  types.Object
 	safe     bool
@@ -81,7 +80,7 @@ func runObsGuard(pass *Pass) {
 			if fn == nil {
 				continue
 			}
-			m := &obsMethod{decl: fd, obj: fn}
+			m := &obsMethod{decl: fd}
 			if names := fd.Recv.List[0].Names; len(names) > 0 {
 				m.recvName = names[0].Name
 				m.recvObj = p.Info.Defs[names[0]]

@@ -209,8 +209,7 @@ func latency(m Model, promptTokens, completionTokens int) float64 {
 // (prompt, model, seed, salt) tuple. It drives every stochastic choice the
 // simulator makes, so repeated identical calls agree.
 func decision(prompt, modelName string, seed uint64, salt string) float64 {
-	h := token.Hash64Seed(prompt+"\x00"+modelName+"\x00"+salt, seed)
-	return float64(h>>11) / float64(1<<53)
+	return token.Uniform(prompt+"\x00"+modelName+"\x00"+salt, seed)
 }
 
 // fabricate synthesizes a plausible-but-wrong value for hallucinations,

@@ -92,7 +92,6 @@ func (t *Table) GroupBy(groupCols []string, aggs []Agg) (*Table, error) {
 	}
 
 	type group struct {
-		key    string
 		sample Row // representative row for group column values
 		rows   []Row
 	}
@@ -105,7 +104,7 @@ func (t *Table) GroupBy(groupCols []string, aggs []Agg) (*Table, error) {
 		}
 		g, ok := groups[k]
 		if !ok {
-			g = &group{key: k, sample: r}
+			g = &group{sample: r}
 			groups[k] = g
 			order = append(order, k)
 		}
@@ -114,7 +113,7 @@ func (t *Table) GroupBy(groupCols []string, aggs []Agg) (*Table, error) {
 	// Scalar aggregation over an empty table still yields one row of
 	// zero-counts, matching SQL semantics for COUNT.
 	if len(groupCols) == 0 && len(order) == 0 {
-		groups[""] = &group{key: ""}
+		groups[""] = &group{}
 		order = append(order, "")
 	}
 	sort.Strings(order) // deterministic output independent of map order

@@ -1,7 +1,5 @@
 package resilient
 
-import "sync"
-
 // fastFailMS is the latency charged to a call rejected by the open
 // circuit — the cost of discovering the breaker state, which also
 // advances the simulated clock toward cooldown expiry.
@@ -58,59 +56,44 @@ type BreakerStats struct {
 	FastFails int64
 }
 
-// breaker is the circuit state machine. It runs on the simulated clock
-// its owner advances (charged latency, never wall time), so breaker
-// behaviour is as reproducible as everything else in the repo.
-type breaker struct {
-	policy BreakerPolicy
-
-	mu          sync.Mutex
+// Breaker is the Closed/Open/HalfOpen circuit state machine, driven by
+// a logical clock its owner supplies (never wall time), so breaker
+// behaviour is as reproducible as everything else in the repo. The
+// serving cluster router feeds one per instance with crash detections
+// and completions at engine time, and reads the state inside its
+// routing score; the Client middleware drives one at its accumulated
+// charged latency and counts its own fast-fails.
+//
+// It is NOT safe for concurrent use: discrete-event simulations are
+// single-threaded by construction, and the Client holds its breaker
+// under its own mutex.
+type Breaker struct {
+	policy      BreakerPolicy
 	state       BreakerState
 	consecFails int
 	openedAtMS  float64
-	clockMS     float64
 	stats       BreakerStats
 }
 
-func newBreaker(p BreakerPolicy) *breaker {
-	return &breaker{policy: p.withDefaults()}
+// NewBreaker returns a closed breaker with p's defaults applied.
+func NewBreaker(p BreakerPolicy) *Breaker {
+	return &Breaker{policy: p.withDefaults()}
 }
 
-// advance moves the simulated clock forward by ms of charged latency.
-func (b *breaker) advance(ms float64) {
-	b.mu.Lock()
-	b.clockMS += ms
-	b.mu.Unlock()
-}
-
-// allow reports whether a call may proceed. A rejected call costs
-// fastFailMS of simulated latency, which the caller charges; the charge
-// is applied to the clock here so repeated rejections walk the clock
-// toward cooldown expiry instead of freezing time.
-func (b *breaker) allow() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	switch b.state {
-	case BreakerClosed:
-		return true
-	case BreakerOpen:
-		if b.clockMS-b.openedAtMS >= b.policy.CooldownMS {
-			b.state = BreakerHalfOpen
-			b.stats.HalfOpens++
-			return true
-		}
-		b.stats.FastFails++
-		b.clockMS += fastFailMS
-		return false
-	default: // half-open: probes are admitted, outcomes decide the state
-		return true
+// StateAt reports the circuit position at absolute time nowMS, applying
+// the Open→HalfOpen transition once the cooldown has elapsed.
+func (b *Breaker) StateAt(nowMS float64) BreakerState {
+	if b.state == BreakerOpen && nowMS-b.openedAtMS >= b.policy.CooldownMS {
+		b.state = BreakerHalfOpen
+		b.stats.HalfOpens++
 	}
+	return b.state
 }
 
-// onSuccess records a successful primary-path call.
-func (b *breaker) onSuccess() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
+// OnSuccess records a successful call at nowMS: it resets the failure
+// streak and, half-open, closes the circuit.
+func (b *Breaker) OnSuccess(nowMS float64) {
+	b.StateAt(nowMS)
 	b.consecFails = 0
 	if b.state == BreakerHalfOpen {
 		b.state = BreakerClosed
@@ -118,28 +101,24 @@ func (b *breaker) onSuccess() {
 	}
 }
 
-// onFailure records a failed primary-path call (after its retries).
-func (b *breaker) onFailure() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
+// OnFailure records a failed call at nowMS. Half-open it reopens the
+// circuit; closed it opens after FailureThreshold consecutive failures;
+// open it extends the cooldown window from nowMS.
+func (b *Breaker) OnFailure(nowMS float64) {
+	b.StateAt(nowMS)
 	switch b.state {
 	case BreakerHalfOpen:
 		b.state = BreakerOpen
-		b.openedAtMS = b.clockMS
+		b.openedAtMS = nowMS
 		b.stats.Opened++
 	case BreakerClosed:
 		b.consecFails++
 		if b.consecFails >= b.policy.FailureThreshold {
 			b.state = BreakerOpen
-			b.openedAtMS = b.clockMS
+			b.openedAtMS = nowMS
 			b.stats.Opened++
 		}
+	default: // open: a further failure restarts the cooldown
+		b.openedAtMS = nowMS
 	}
-}
-
-// snapshot returns the state and transition counts.
-func (b *breaker) snapshot() (BreakerState, BreakerStats) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state, b.stats
 }

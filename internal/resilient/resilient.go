@@ -51,17 +51,8 @@ var ErrCircuitOpen = errors.New("resilient: circuit open")
 // degrades nothing — Wrap with a zero Policy is a transparent pass-through.
 type Policy struct {
 	// MaxRetries is how many times a retryable failure is retried
-	// after the first attempt.
+	// after the first attempt (retryWait prices the wait before each).
 	MaxRetries int
-	// BaseBackoffMS is the first retry's backoff (default 50 when
-	// retries are enabled); backoff doubles per attempt, capped at
-	// MaxBackoffMS (default 2000).
-	BaseBackoffMS float64
-	MaxBackoffMS  float64
-	// JitterFrac in [0,1] is the fraction of each backoff randomized
-	// by the seeded jitter hash (default 0.5). Zero keeps full
-	// deterministic backoff without jitter.
-	JitterFrac float64
 	// Seed drives the jitter hash.
 	Seed uint64
 	// HedgeAfterMS, when positive, models a hedged request racing the
@@ -107,28 +98,14 @@ func Full(maxRetries int, seed uint64, fallback llm.Client) Policy {
 	}
 }
 
-func (p Policy) withDefaults() Policy {
-	if p.MaxRetries > 0 {
-		if p.BaseBackoffMS <= 0 {
-			p.BaseBackoffMS = 50
-		}
-		if p.MaxBackoffMS <= 0 {
-			p.MaxBackoffMS = 2000
-		}
-		// Zero means "default"; pass a negative JitterFrac for
-		// explicit no-jitter backoff.
-		if p.JitterFrac == 0 {
-			p.JitterFrac = 0.5
-		}
-		if p.JitterFrac < 0 {
-			p.JitterFrac = 0
-		}
-		if p.JitterFrac > 1 {
-			p.JitterFrac = 1
-		}
-	}
-	return p
-}
+// The retry backoff: the first retry waits baseBackoffMS, each further
+// one doubles it up to maxBackoffMS, and jitterFrac of every wait is
+// randomized by the seeded jitter hash.
+const (
+	baseBackoffMS = 50
+	maxBackoffMS  = 2000
+	jitterFrac    = 0.5
+)
 
 // Stats is the middleware's consumption and decision tally.
 type Stats struct {
@@ -169,9 +146,8 @@ type Stats struct {
 // Client is the resilience middleware. Construct with Wrap; safe for
 // concurrent use.
 type Client struct {
-	inner   llm.Client
-	policy  Policy
-	breaker *breaker
+	inner  llm.Client
+	policy Policy
 
 	// trace/clockMS are the observability seam (see trace.go): clockMS
 	// is the accumulated simulated latency of traced calls, the call
@@ -181,13 +157,17 @@ type Client struct {
 	mu      sync.Mutex
 	stats   Stats
 	clockMS float64
+	// breaker, when the policy has one, runs on breakerMS: the latency
+	// charged by the client's attempts and fast-fails. mu guards both.
+	breaker   *Breaker
+	breakerMS float64
 }
 
 // Wrap builds a resilient Client over inner with the given policy.
 func Wrap(inner llm.Client, policy Policy) *Client {
-	c := &Client{inner: inner, policy: policy.withDefaults()}
+	c := &Client{inner: inner, policy: policy}
 	if policy.Breaker != nil {
-		c.breaker = newBreaker(*policy.Breaker)
+		c.breaker = NewBreaker(*policy.Breaker)
 	}
 	return c
 }
@@ -195,10 +175,10 @@ func Wrap(inner llm.Client, policy Policy) *Client {
 // Stats returns a snapshot of the middleware tally.
 func (c *Client) Stats() Stats {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	s := c.stats
-	c.mu.Unlock()
 	if c.breaker != nil {
-		_, s.Breaker = c.breaker.snapshot()
+		s.Breaker = c.breaker.stats
 	}
 	return s
 }
@@ -209,31 +189,59 @@ func (c *Client) BreakerState() BreakerState {
 	if c.breaker == nil {
 		return BreakerClosed
 	}
-	st, _ := c.breaker.snapshot()
-	return st
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.breaker.state
 }
 
-// jitter returns a deterministic uniform in [0,1) for (key, attempt).
-func jitter(key string, attempt int, seed uint64) float64 {
-	h := token.Hash64Seed(fmt.Sprintf("%s\x00backoff\x00%d", key, attempt), seed)
-	return float64(h>>11) / float64(1<<53)
+// admit reports whether the breaker lets a call through. A rejected
+// call costs fastFailMS of simulated latency, which the caller charges;
+// the charge is applied to the breaker clock here so repeated
+// rejections walk the clock toward cooldown expiry instead of freezing
+// time. The client counts its fast-fails in the breaker's stats.
+func (c *Client) admit() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.breaker.StateAt(c.breakerMS) != BreakerOpen {
+		return true
+	}
+	c.breaker.stats.FastFails++
+	c.breakerMS += fastFailMS
+	return false
+}
+
+// charge advances the breaker clock by ms of charged latency.
+func (c *Client) charge(ms float64) {
+	c.mu.Lock()
+	c.breakerMS += ms
+	c.mu.Unlock()
+}
+
+// settle records an admitted call's primary-path outcome (after its
+// retries) at the breaker clock.
+func (c *Client) settle(ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if ok {
+		c.breaker.OnSuccess(c.breakerMS)
+	} else {
+		c.breaker.OnFailure(c.breakerMS)
+	}
 }
 
 // backoffFor computes the simulated wait before retry `attempt`
 // (1-based): capped exponential with seeded equal-jitter.
-func backoffFor(base, maxMS, jitterFrac float64, key string, attempt int, seed uint64) float64 {
-	b := base
+func backoffFor(key string, attempt int, seed uint64) float64 {
+	b := float64(baseBackoffMS)
 	for i := 1; i < attempt; i++ {
 		b *= 2
-		if b >= maxMS {
-			b = maxMS
+		if b >= maxBackoffMS {
+			b = maxBackoffMS
 			break
 		}
 	}
-	if b > maxMS {
-		b = maxMS
-	}
-	return b*(1-jitterFrac) + b*jitterFrac*jitter(key, attempt, seed)
+	jitter := token.Uniform(fmt.Sprintf("%s\x00backoff\x00%d", key, attempt), seed)
+	return b*(1-jitterFrac) + b*jitterFrac*jitter
 }
 
 // Complete implements llm.Client.
@@ -250,7 +258,7 @@ func (c *Client) Complete(req llm.Request) (llm.Response, error) {
 	var lastErr error
 
 	if c.breaker != nil {
-		if !c.breaker.allow() {
+		if !c.admit() {
 			waste.LatencyMS += fastFailMS
 			ct.child("breaker-fastfail", fastFailMS)
 			ct.bump("resilient/fastfails")
@@ -281,11 +289,11 @@ func (c *Client) Complete(req llm.Request) (llm.Response, error) {
 		resp, err := c.inner.Complete(req)
 		ct.child("attempt", resp.LatencyMS)
 		if c.breaker != nil {
-			c.breaker.advance(resp.LatencyMS)
+			c.charge(resp.LatencyMS)
 		}
 		if err == nil {
 			if c.breaker != nil {
-				c.breaker.onSuccess()
+				c.settle(true)
 			}
 			// A success slower than the hedge offset already triggered
 			// its hedge; the cancelled duplicate's prefill is waste. No
@@ -318,7 +326,7 @@ func (c *Client) Complete(req llm.Request) (llm.Response, error) {
 		}
 	}
 	if c.breaker != nil {
-		c.breaker.onFailure()
+		c.settle(false)
 	}
 	return c.degrade(req, waste, lastErr, ct)
 }
@@ -337,8 +345,7 @@ func (c *Client) retryWait(prompt string, attempt int, lastErr error) (waitMS fl
 		c.count(func(s *Stats) { s.RateLimitWaits++ })
 		return ms, false
 	}
-	return backoffFor(c.policy.BaseBackoffMS, c.policy.MaxBackoffMS, c.policy.JitterFrac,
-		prompt, attempt, c.policy.Seed), false
+	return backoffFor(prompt, attempt, c.policy.Seed), false
 }
 
 // degrade applies the degradation ladder once the primary path has

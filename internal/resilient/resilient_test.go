@@ -247,10 +247,10 @@ func TestZeroPolicyTransparent(t *testing.T) {
 func TestBackoffCappedAndJittered(t *testing.T) {
 	// Backoff doubles from base and saturates at the cap; jitter keeps
 	// every draw inside [b*(1-frac), b).
-	const base, maxMS, frac = 50.0, 400.0, 0.5
+	const base, maxMS, frac = baseBackoffMS, maxBackoffMS, jitterFrac
 	prev := 0.0
 	for attempt := 1; attempt <= 8; attempt++ {
-		b := backoffFor(base, maxMS, frac, "k", attempt, 9)
+		b := backoffFor("k", attempt, 9)
 		ceil := base * float64(int(1)<<uint(attempt-1))
 		if ceil > maxMS {
 			ceil = maxMS
@@ -258,7 +258,7 @@ func TestBackoffCappedAndJittered(t *testing.T) {
 		if b < ceil*(1-frac) || b >= ceil {
 			t.Fatalf("attempt %d: backoff %v outside [%v, %v)", attempt, b, ceil*(1-frac), ceil)
 		}
-		if attempt >= 5 && prev != 0 {
+		if attempt >= 7 && prev != 0 {
 			// Saturated region: bounded by the cap.
 			if b >= maxMS {
 				t.Fatalf("attempt %d: backoff %v not capped at %v", attempt, b, maxMS)

@@ -64,8 +64,7 @@ func (p SimulatedLLMProposer) Propose(q *relation.ParsedQuery) []Proposal {
 	// Hallucinated rewrite: relax one inclusive bound to exclusive
 	// ("x >= v" -> "x > v") — looks like a simplification, changes
 	// results whenever a row sits exactly on the bound.
-	u := float64(token.Hash64Seed(q.Render(), p.Seed)>>11) / float64(1<<53)
-	if u < p.UnsoundRate {
+	if token.Uniform(q.Render(), p.Seed) < p.UnsoundRate {
 		if c, ok := relaxBound(q); ok {
 			out = append(out, Proposal{SQL: c.Render(), Rule: "bound-relaxation (unsound)"})
 		}

@@ -61,38 +61,35 @@ func NewExecutor(client llm.Client) *Executor {
 	return &Executor{Client: client}
 }
 
-func (ex *Executor) complete(prompt string) (llm.Response, error) {
-	resp, err := ex.Client.Complete(llm.Request{Prompt: prompt})
-	if err != nil {
-		return resp, err
-	}
+// account meters one successful call's response.
+func (ex *Executor) account(resp llm.Response) {
 	ex.Calls++
 	if resp.Degraded {
 		ex.Degraded++
 	}
 	ex.CostUSD += resp.CostUSD
 	ex.LatencyMS += resp.LatencyMS
-	return resp, nil
 }
 
 // completeBatch issues one call per prompt and returns responses in
-// prompt order. With Workers <= 1 it is exactly the serial complete
-// loop. Above that, calls go to the Client from up to Workers
-// goroutines, and accounting is then committed serially in prompt order
-// — float accumulation associates the same way as the serial loop, so
-// CostUSD/LatencyMS are bit-identical. On error the first failing
-// prompt (by index) wins and accounting covers exactly the prompts
-// before it, as if the serial loop had stopped there; later prompts may
-// already have reached the Client, which only ever means extra cache
-// warmth on an aborted operator.
+// prompt order. With Workers <= 1 it is a serial loop that meters each
+// call as it returns. Above that, calls go to the Client from up to
+// Workers goroutines, and accounting is then committed serially in
+// prompt order — float accumulation associates the same way as the
+// serial loop, so CostUSD/LatencyMS are bit-identical. On error the
+// first failing prompt (by index) wins and accounting covers exactly
+// the prompts before it, as if the serial loop had stopped there; later
+// prompts may already have reached the Client, which only ever means
+// extra cache warmth on an aborted operator.
 func (ex *Executor) completeBatch(prompts []string) ([]llm.Response, error) {
 	if ex.Workers <= 1 || len(prompts) < 2 {
 		out := make([]llm.Response, len(prompts))
 		for i, p := range prompts {
-			resp, err := ex.complete(p)
+			resp, err := ex.Client.Complete(llm.Request{Prompt: p})
 			if err != nil {
 				return nil, err
 			}
+			ex.account(resp)
 			out[i] = resp
 		}
 		return out, nil
@@ -110,12 +107,7 @@ func (ex *Executor) completeBatch(prompts []string) ([]llm.Response, error) {
 		if r.err != nil {
 			return nil, r.err
 		}
-		ex.Calls++
-		if r.resp.Degraded {
-			ex.Degraded++
-		}
-		ex.CostUSD += r.resp.CostUSD
-		ex.LatencyMS += r.resp.LatencyMS
+		ex.account(r.resp)
 		out[i] = r.resp
 	}
 	return out, nil

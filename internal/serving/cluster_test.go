@@ -114,30 +114,38 @@ func TestClusterPeakKVIsSimultaneousHighWater(t *testing.T) {
 	// summed per-instance peaks from runs that never shared a clock, so
 	// two instances busy at *different* times still counted as if their
 	// peaks coincided. The shared tally must track true simultaneous
-	// occupancy.
+	// occupancy. Two instances settle their allocator calls into one
+	// tally, as Run's instances do.
 	gpu := DefaultGPU()
+	eng := sim.NewEngine()
 	tally := &clusterTally{}
-	a := &talliedKV{KVManager: NewPagedKV(gpu), tally: tally}
-	b := &talliedKV{KVManager: NewPagedKV(gpu), tally: tally}
+	a := newInstance(0, gpu, ContinuousOpts{}, eng, nil, nil)
+	b := newInstance(1, gpu, ContinuousOpts{}, eng, nil, nil)
+	a.tally, b.tally = tally, tally
+	s1, s2, s3, s4 := &seqState{}, &seqState{}, &seqState{}, &seqState{}
 
-	if !a.Alloc(1, 1600) { // 100 blocks
+	if !a.kvAlloc(s1, 1600) { // 100 blocks
 		t.Fatal("alloc a")
 	}
-	a.Free(1)
-	if !b.Alloc(2, 1600) { // 100 blocks, after a's released
+	a.kvRelease(s1)
+	if !b.kvAlloc(s2, 1600) { // 100 blocks, after a's released
 		t.Fatal("alloc b")
 	}
-	b.Free(2)
-	sum := a.PeakBlocks() + b.PeakBlocks()
-	if tally.peak != 100 || sum != 200 {
-		t.Errorf("cluster peak = %d (per-instance sum %d), want 100 vs 200", tally.peak, sum)
+	b.kvRelease(s2)
+	sum := a.kv.PeakBlocks() + b.kv.PeakBlocks()
+	if tally.peak != 100 || tally.used != 0 || sum != 200 {
+		t.Errorf("cluster peak = %d, used %d (per-instance sum %d), want 100, 0 vs 200", tally.peak, tally.used, sum)
 	}
 
-	// Overlapping usage does count together.
-	a.Alloc(3, 1600)
-	b.Alloc(4, 1600)
-	if tally.peak != 200 {
-		t.Errorf("overlapping peak = %d, want 200", tally.peak)
+	// Overlapping usage does count together, and an Extend's growth
+	// counts too.
+	a.kvAlloc(s3, 1600)
+	b.kvAlloc(s4, 1600)
+	if !a.kvExtend(s3, 1616) { // one block more
+		t.Fatal("extend a")
+	}
+	if tally.peak != 201 || tally.used != 201 {
+		t.Errorf("overlapping peak = %d, used %d, want 201", tally.peak, tally.used)
 	}
 }
 

@@ -168,15 +168,7 @@ func (di *decodeInstance) finish(now float64, d *dstate) {
 		d.phase = 0
 		di.trace.EndReason(now, d.job.root, "finish")
 	}
-	r := di.onFinish(d.finishMS)
-	r.Req = d.job.req
-	r.FinishMS = d.finishMS
-	r.TTFTms = d.job.firstToken - d.job.req.ArrivalMS
-	r.PrefilledTokens = d.job.req.PromptTokens
-	r.Instance = di.id
-	if d.job.req.OutputTokens > 1 {
-		r.TBTms = (d.finishMS - d.job.firstToken) / float64(d.job.req.OutputTokens-1)
-	}
+	di.onFinish(d.finishMS).served(&d.job.req, d.job.firstToken, d.finishMS, d.job.req.PromptTokens, di.id)
 }
 
 // arrive queues a transferred sequence. An idle instance defers its wake

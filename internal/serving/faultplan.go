@@ -1,6 +1,9 @@
 package serving
 
-import "dataai/internal/faults"
+import (
+	"dataai/internal/faults"
+	"dataai/internal/token"
+)
 
 // Fault-plan timing on the logical clock.
 const (
@@ -15,7 +18,7 @@ const (
 // FaultPlan injects cluster-side faults into a routed serving run. It is
 // the serving-layer sibling of the call-path faults.Injector: every
 // fault is a pure function of (Seed, instance, time-window) drawn
-// through faults.Uniform, so a run is byte-identical across repetitions
+// through token.Uniform, so a run is byte-identical across repetitions
 // and worker counts — faults never depend on wall time or event
 // interleaving, only on which faultWindowMS window of the logical clock
 // an instance is in.
@@ -131,14 +134,14 @@ func (p *FaultPlan) crashAt(instance, w int) bool {
 	if p == nil {
 		return false
 	}
-	if p.CrashProb > 0 && faults.Uniform(p.Seed, faults.WindowKey("crash", instance, w)) < p.CrashProb {
+	if p.CrashProb > 0 && token.Uniform(faults.WindowKey("crash", instance, w), p.Seed) < p.CrashProb {
 		return true
 	}
 	if p.RackSize <= 0 {
 		return false
 	}
 	return p.RackCrashProb > 0 &&
-		faults.Uniform(p.Seed, faults.WindowKey("rackcrash", instance/p.RackSize, w)) < p.RackCrashProb
+		token.Uniform(faults.WindowKey("rackcrash", instance/p.RackSize, w), p.Seed) < p.RackCrashProb
 }
 
 // overloadFactor is the cascade multiplier applied to every surviving
@@ -173,7 +176,7 @@ func (p *FaultPlan) slowdownAt(instance, w int) float64 {
 	if p == nil || p.StragglerProb <= 0 {
 		return 1
 	}
-	if faults.Uniform(p.Seed, faults.WindowKey("straggler", instance, w)) < p.StragglerProb {
+	if token.Uniform(faults.WindowKey("straggler", instance, w), p.Seed) < p.StragglerProb {
 		return p.stragglerFactor()
 	}
 	return 1

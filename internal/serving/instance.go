@@ -92,6 +92,11 @@ type instance struct {
 	// every live sequence of the run.
 	kvFree []int
 	kvNext int
+	// tally, when non-nil, is the cluster's shared KV occupancy, and
+	// kvGauge, when traced, the instance's kv_used_blocks gauge: every
+	// allocator call settles both (kvSettle).
+	tally   *clusterTally
+	kvGauge *obs.Metric
 
 	preemptions int
 
@@ -143,7 +148,7 @@ func newInstance(id int, gpu GPUConfig, opts ContinuousOpts, eng *sim.Engine, po
 		reg := opts.Trace.Registry()
 		in.depthGauge = reg.Gauge(in.track + "/queue_depth")
 		reg.Gauge(in.track+obs.KVCapacitySuffix).Set(eng.Now(), float64(kv.Capacity()))
-		in.kv = &gaugedKV{KVManager: kv, used: reg.Gauge(in.track + obs.KVUsedSuffix), eng: eng}
+		in.kvGauge = reg.Gauge(in.track + obs.KVUsedSuffix)
 	}
 	return in
 }
@@ -250,7 +255,10 @@ func (in *instance) kvAlloc(s *seqState, tokens int) bool {
 		in.kvNext++
 	}
 	h := in.kvFree[len(in.kvFree)-1]
-	if !in.kv.Alloc(h, tokens) {
+	before := in.kv.UsedBlocks()
+	ok := in.kv.Alloc(h, tokens)
+	in.kvSettle(before)
+	if !ok {
 		return false
 	}
 	in.kvFree = in.kvFree[:len(in.kvFree)-1]
@@ -258,10 +266,35 @@ func (in *instance) kvAlloc(s *seqState, tokens int) bool {
 	return true
 }
 
+// kvExtend grows s's reservation to tokens, reporting false on
+// exhaustion.
+func (in *instance) kvExtend(s *seqState, tokens int) bool {
+	before := in.kv.UsedBlocks()
+	ok := in.kv.Extend(s.kvh, tokens)
+	in.kvSettle(before)
+	return ok
+}
+
 // kvRelease frees every block s holds and recycles its handle.
 func (in *instance) kvRelease(s *seqState) {
+	before := in.kv.UsedBlocks()
 	in.kv.Free(s.kvh)
+	in.kvSettle(before)
 	in.kvFree = append(in.kvFree, s.kvh)
+}
+
+// kvSettle records one allocator call, made with before blocks in use:
+// it moves the cluster's simultaneous-occupancy tally by the call's
+// delta and sets the traced kv_used_blocks gauge. Every call records a
+// gauge point, a failed Alloc and an Extend that grows nothing
+// included: the pinned traces hold those points.
+func (in *instance) kvSettle(before int) {
+	used := in.kv.UsedBlocks()
+	if t := in.tally; t != nil {
+		t.used += used - before
+		t.peak = max(t.peak, t.used)
+	}
+	in.kvGauge.Set(in.eng.Now(), float64(used))
 }
 
 // admit mirrors the historical admission rule: cache lookups happen on
@@ -378,7 +411,7 @@ func (in *instance) finish(now float64, s *seqState) {
 		in.opts.SessionCache.Store(now, s.req.Session, s.req.PromptTokens+s.req.OutputTokens)
 	}
 	in.traceFinish(now, s)
-	s.writeResult(in.onFinish(now), in.id)
+	in.onFinish(now).served(&s.req, s.firstTokenMS, s.finishMS, s.prefilled, in.id)
 	in.pool.put(s) // nothing references s past its Result; drops its checkpoint
 }
 
@@ -691,7 +724,7 @@ func (in *instance) decodeOnDemand(now float64) {
 		}
 		in.load += seqLoad(s) - before
 		ok := true
-		for !in.kv.Extend(s.kvh, s.req.PromptTokens-s.saved+s.generated) {
+		for !in.kvExtend(s, s.req.PromptTokens-s.saved+s.generated) {
 			// Victim: the most recently admitted running sequence that
 			// is not s and not already preempted.
 			var victim *seqState

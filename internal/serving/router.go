@@ -94,45 +94,9 @@ type RoutedReport struct {
 
 // clusterTally tracks simultaneous KV occupancy across every instance of
 // a routed run — the true cluster high-water mark, which summing
-// per-instance peaks from unsynchronized runs used to overstate.
+// per-instance peaks from unsynchronized runs used to overstate. Each
+// instance settles its own allocator calls into it (instance.kvSettle).
 type clusterTally struct{ used, peak int }
-
-// talliedKV wraps one instance's KVManager and mirrors its block deltas
-// into the shared cluster tally.
-type talliedKV struct {
-	KVManager
-	tally *clusterTally
-}
-
-func (t *talliedKV) settle(before int) {
-	t.tally.used += t.KVManager.UsedBlocks() - before
-	if t.tally.used > t.tally.peak {
-		t.tally.peak = t.tally.used
-	}
-}
-
-// Alloc implements KVManager.
-func (t *talliedKV) Alloc(h int, tokens int) bool {
-	before := t.KVManager.UsedBlocks()
-	ok := t.KVManager.Alloc(h, tokens)
-	t.settle(before)
-	return ok
-}
-
-// Extend implements KVManager.
-func (t *talliedKV) Extend(h int, newTotal int) bool {
-	before := t.KVManager.UsedBlocks()
-	ok := t.KVManager.Extend(h, newTotal)
-	t.settle(before)
-	return ok
-}
-
-// Free implements KVManager.
-func (t *talliedKV) Free(h int) {
-	before := t.KVManager.UsedBlocks()
-	t.KVManager.Free(h)
-	t.settle(before)
-}
 
 // Routing-score constants for BreakerAware: an open breaker pushes an
 // instance past any plausible load, a half-open one costs a moderate
@@ -522,7 +486,6 @@ func runCluster(cfg ClusterConfig, reqs []workload.Request) (*RoutedReport, *clu
 	gpu, rec := cfg.GPU, cfg.Recovery
 	for i := range c.insts {
 		opts := cfg.Opts
-		opts.KV = &talliedKV{KVManager: NewPagedKV(gpu), tally: c.tally}
 		if rec.PrefixGPUTokens > 0 {
 			// Two-tier prefix cache: cold prefixes demote to a host tier
 			// that survives this instance's crashes.
@@ -584,6 +547,7 @@ func (c *cluster) addInstance(i int, opts ContinuousOpts) {
 		return nextResult(&c.results)
 	})
 	in.rec = c.rec
+	in.tally = c.tally
 	in.onDrop = func(now float64, dropped []*seqState) {
 		// The router learns of the losses a detection delay later and
 		// re-routes the sequences, in drop order, away from the crashed

@@ -59,16 +59,18 @@ type seqState struct {
 	track       string
 }
 
-// writeResult writes the sequence's Result, served on instance, into r,
-// the slot it is reported in (see nextResult).
-func (s *seqState) writeResult(r *Result, instance int) {
-	r.Req = s.req
-	r.FinishMS = s.finishMS
-	r.TTFTms = s.firstTokenMS - s.req.ArrivalMS
-	r.PrefilledTokens = s.prefilled
+// served writes into r, the slot a finished request is reported in
+// (see nextResult), the Result of req served on instance: its first
+// token at firstTokenMS, its last at finishMS, after prefilling
+// prefilled prompt tokens. Every entry point's finish writes through it.
+func (r *Result) served(req *workload.Request, firstTokenMS, finishMS float64, prefilled, instance int) {
+	r.Req = *req
+	r.FinishMS = finishMS
+	r.TTFTms = firstTokenMS - req.ArrivalMS
+	r.PrefilledTokens = prefilled
 	r.Instance = instance
-	if s.req.OutputTokens > 1 {
-		r.TBTms = (s.finishMS - s.firstTokenMS) / float64(s.req.OutputTokens-1)
+	if req.OutputTokens > 1 {
+		r.TBTms = (finishMS - firstTokenMS) / float64(req.OutputTokens-1)
 	}
 }
 
@@ -165,7 +167,7 @@ func RunStatic(gpu GPUConfig, reqs []workload.Request, batchSize int) (*Report, 
 		}
 		for j, s := range batch {
 			kv.Free(j)
-			s.writeResult(nextResult(&results), 0)
+			nextResult(&results).served(&s.req, s.firstTokenMS, s.finishMS, s.prefilled, 0)
 		}
 	}
 	rep := buildReport(results)

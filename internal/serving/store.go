@@ -274,10 +274,3 @@ func (s *SessionStore) HitRate() float64 {
 	}
 	return float64(s.Hits) / float64(s.Hits+s.Misses)
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -2,7 +2,6 @@ package serving
 
 import (
 	"dataai/internal/obs"
-	"dataai/internal/sim"
 	"dataai/internal/workload"
 )
 
@@ -41,39 +40,6 @@ func (s *seqState) reqTrack() string {
 		s.track = reqTrack(s.req)
 	}
 	return s.track
-}
-
-// gaugedKV wraps a KVManager and mirrors its occupancy into an obs gauge
-// at the engine's current logical time. Installed only when tracing is
-// on, so untraced runs keep the unwrapped allocator.
-type gaugedKV struct {
-	KVManager
-	used *obs.Metric
-	eng  *sim.Engine
-}
-
-func (g *gaugedKV) sync() {
-	g.used.Set(g.eng.Now(), float64(g.KVManager.UsedBlocks()))
-}
-
-// Alloc implements KVManager.
-func (g *gaugedKV) Alloc(h int, tokens int) bool {
-	ok := g.KVManager.Alloc(h, tokens)
-	g.sync()
-	return ok
-}
-
-// Extend implements KVManager.
-func (g *gaugedKV) Extend(h int, newTotal int) bool {
-	ok := g.KVManager.Extend(h, newTotal)
-	g.sync()
-	return ok
-}
-
-// Free implements KVManager.
-func (g *gaugedKV) Free(h int) {
-	g.KVManager.Free(h)
-	g.sync()
 }
 
 // traceDepth records the instance's current queue depth.

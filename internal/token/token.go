@@ -263,6 +263,15 @@ func Hash64Seed(s string, seed uint64) uint64 {
 	return h
 }
 
+// Uniform maps (s, seed) to a deterministic uniform in [0,1): the top
+// 53 bits of Hash64Seed as a float64 fraction. It is the repo's one
+// seeded draw (fault windows, LLM decisions, retry jitter, rewrite
+// proposals): equal inputs give equal draws on every run, platform and
+// worker count.
+func Uniform(s string, seed uint64) float64 {
+	return float64(Hash64Seed(s, seed)>>11) / float64(1<<53)
+}
+
 // Hash64SeedBytes is Hash64Seed over a byte slice: it lets hot paths
 // hash composed features (prefix + substring) through a reusable stack
 // buffer instead of allocating a string per feature. For any s and

@@ -39,10 +39,9 @@ type HNSW struct {
 func (h *HNSW) DistComps() uint64 { return h.dists.Load() }
 
 type hnswNode struct {
-	id    string
-	vec   []float32
-	level int
-	// links[l] lists neighbor node indexes at level l, 0 <= l <= level.
+	id  string
+	vec []float32
+	// links[l] lists neighbor node indexes at each level l the node is on.
 	links [][]int
 }
 
@@ -109,7 +108,7 @@ func (h *HNSW) Add(id string, vec []float32) error {
 	cp := make([]float32, len(vec))
 	copy(cp, vec)
 	level := int(math.Floor(-math.Log(h.rng.Float64()+1e-12) * h.levelMult))
-	n := &hnswNode{id: id, vec: cp, level: level, links: make([][]int, level+1)}
+	n := &hnswNode{id: id, vec: cp, links: make([][]int, level+1)}
 	idx := len(h.nodes)
 	h.nodes = append(h.nodes, n)
 	h.pos[id] = idx
@@ -316,11 +315,4 @@ func (q *minHeap) Pop() interface{} {
 	it := old[n-1]
 	*q = old[:n-1]
 	return it
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
